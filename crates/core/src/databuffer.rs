@@ -25,7 +25,7 @@
 //! * **Merge (call return)** — the callee's cells fold into the caller's
 //!   (§V-D): callee writes become caller writes.
 
-use std::collections::HashMap;
+use specfaas_sim::hash::FxHashMap;
 
 use specfaas_storage::Value;
 
@@ -89,7 +89,7 @@ pub enum ReadResult {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DataBuffer {
-    rows: HashMap<String, HashMap<SlotId, Cell>>,
+    rows: FxHashMap<String, FxHashMap<SlotId, Cell>>,
     forwards: u64,
     violations: u64,
 }

@@ -291,30 +291,29 @@ impl SpecCore {
         }
     }
 
-    /// Rolls for a transient KV fault on behalf of `id`. Returns true if
-    /// a fault was injected and handled (retry scheduled or escalated);
-    /// the storage operation must then not proceed.
+    /// Rolls for a transient KV fault at `site` on behalf of `id`.
+    /// Returns true if a fault was injected and handled (retry scheduled
+    /// or escalated); the storage operation must then not proceed. The
+    /// retried operation is built by `op` only when a retry is scheduled,
+    /// so fault-free runs never copy the key or value.
     pub(super) fn kv_fault(
         &mut self,
         req_id: RequestId,
         slot_id: SlotId,
         id: InstanceId,
-        op: KvOp,
+        site: FaultSite,
+        op: impl FnOnce() -> KvOp,
         attempt: u32,
     ) -> bool {
-        let site = match &op {
-            KvOp::Get { .. } => FaultSite::KvGet,
-            KvOp::Set { .. } => FaultSite::KvSet,
-        };
         let now = self.rt.sim.now();
         if !self.rt.faults.enabled() || !self.rt.faults.roll(site, now) {
             return false;
         }
         self.rt.metrics.faults.injected += 1;
         self.rt.metrics.faults.kv_errors += 1;
-        let fault_site = match &op {
-            KvOp::Get { .. } => "kv_get",
-            KvOp::Set { .. } => "kv_set",
+        let fault_site = match site {
+            FaultSite::KvGet => "kv_get",
+            _ => "kv_set",
         };
         self.rt
             .registry
@@ -356,7 +355,7 @@ impl SpecCore {
         self.rt.metrics.faults.retried += 1;
         self.rt
             .sim
-            .schedule_in(backoff, Ev::KvRetry(id, op, attempt + 1));
+            .schedule_in(backoff, Ev::KvRetry(id, op(), attempt + 1));
         true
     }
 
@@ -369,7 +368,8 @@ impl SpecCore {
         key: String,
         attempt: u32,
     ) {
-        if self.kv_fault(req_id, slot_id, id, KvOp::Get { key: key.clone() }, attempt) {
+        let op = || KvOp::Get { key: key.clone() };
+        if self.kv_fault(req_id, slot_id, id, FaultSite::KvGet, op, attempt) {
             return;
         }
         let lat = self.rt.kv.latency().read + self.rt.model.data_buffer_hop;
@@ -433,11 +433,11 @@ impl SpecCore {
         value: Value,
         attempt: u32,
     ) {
-        let op = KvOp::Set {
+        let op = || KvOp::Set {
             key: key.clone(),
             value: value.clone(),
         };
-        if self.kv_fault(req_id, slot_id, id, op, attempt) {
+        if self.kv_fault(req_id, slot_id, id, FaultSite::KvSet, op, attempt) {
             return;
         }
         let lat = self.rt.kv.latency().write + self.rt.model.data_buffer_hop;

@@ -209,6 +209,27 @@ mod tests {
     use super::*;
 
     #[test]
+    fn stored_rows_survive_mutation_of_the_producers_documents() {
+        let mut t = MemoTable::new(4);
+        let mut input = Value::map([("user", Value::str("alice"))]);
+        let mut output = Value::map([("total", Value::Int(3))]);
+        let mut callee = Value::map([("id", Value::Int(9))]);
+        t.insert(input.clone(), output.clone(), vec![callee.clone()]);
+
+        // The producer keeps working on its own handles afterwards.
+        input.set_field("user", Value::str("bob"));
+        output.set_field("total", Value::Int(4));
+        callee.set_field("id", Value::Int(10));
+
+        assert!(t.peek(&input).is_none());
+        let row = t
+            .peek(&Value::map([("user", Value::str("alice"))]))
+            .unwrap();
+        assert_eq!(row.output, Value::map([("total", Value::Int(3))]));
+        assert_eq!(row.callee_inputs, vec![Value::map([("id", Value::Int(9))])]);
+    }
+
+    #[test]
     fn insert_lookup_roundtrip() {
         let mut t = MemoTable::new(4);
         t.insert(Value::Int(1), Value::str("a"), vec![Value::Int(9)]);

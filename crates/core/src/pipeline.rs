@@ -10,7 +10,7 @@
 //! branches and loops; implicit callees are inserted between their caller
 //! and the caller's successors (§V-D).
 
-use std::collections::HashMap;
+use specfaas_sim::hash::FxHashMap;
 use std::fmt;
 
 use specfaas_storage::Value;
@@ -117,7 +117,7 @@ pub struct Slot {
 #[derive(Debug, Clone, Default)]
 pub struct Pipeline {
     order: Vec<SlotId>,
-    slots: HashMap<SlotId, Slot>,
+    slots: FxHashMap<SlotId, Slot>,
     next_id: u64,
     total_created: u64,
 }

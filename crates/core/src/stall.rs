@@ -9,7 +9,7 @@
 //! the consumer's read *stalls* instead of proceeding optimistically —
 //! eliminating the squash.
 
-use std::collections::HashMap;
+use specfaas_sim::hash::FxHashMap;
 
 use specfaas_workflow::FuncId;
 
@@ -31,7 +31,7 @@ use specfaas_workflow::FuncId;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StallList {
-    squashes: HashMap<(FuncId, FuncId, String), u32>,
+    squashes: FxHashMap<(FuncId, FuncId, String), u32>,
     threshold: u32,
     stalls_avoided: u64,
 }
@@ -41,7 +41,7 @@ impl StallList {
     /// the same triple.
     pub fn new(threshold: u32) -> Self {
         StallList {
-            squashes: HashMap::new(),
+            squashes: FxHashMap::default(),
             threshold: threshold.max(1),
             stalls_avoided: 0,
         }

@@ -375,7 +375,8 @@ impl BaselineCore {
             // compiled in declaration order, so sorting by source entry
             // makes the merge independent of branch completion timing.
             outputs.sort_by_key(|(from, _)| *from);
-            let merged = Value::List(outputs.into_iter().map(|(_, v)| v).collect());
+            let merged: Vec<Value> = outputs.into_iter().map(|(_, v)| v).collect();
+            let merged = Value::List(merged.into());
             // Earlier arrivals already merged their cursors; the final
             // arrival continues as the single join cursor.
             self.spawn_function(req, InstCtx::Entry { req, entry }, merged);

@@ -5,7 +5,7 @@
 //! copy-on-write scheme of §VI), and timing bookkeeping for the Fig. 3
 //! breakdown.
 
-use std::collections::HashMap;
+use specfaas_sim::hash::FxHashMap;
 use std::fmt;
 
 use specfaas_sim::{SimRng, SimTime};
@@ -60,7 +60,7 @@ pub struct FnInstance {
     /// Lifecycle state.
     pub state: InstanceState,
     /// Private temp-file namespace (discarded at handler exit, §VI).
-    pub files: HashMap<String, Value>,
+    pub files: FxHashMap<String, Value>,
     /// When the launch was initiated (for breakdown accounting).
     pub launched_at: SimTime,
     /// When the handler actually started executing on a core.
@@ -100,7 +100,7 @@ impl FnInstance {
             interp: Interp::new(program, input),
             rng,
             state: InstanceState::ColdStarting,
-            files: HashMap::new(),
+            files: FxHashMap::default(),
             launched_at,
             started_at: None,
             breakdown: Breakdown::default(),

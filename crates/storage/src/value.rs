@@ -4,10 +4,18 @@
 //! memoization tables (paper §V-B) key on *exact input values*, so [`Value`]
 //! implements `Hash`/`Eq` with canonical float bit patterns, making it
 //! usable directly as a `HashMap` key.
+//!
+//! Documents are immutable and shared: the `Str`, `List` and `Map`
+//! payloads sit behind an [`Arc`], so cloning a value of any size is a
+//! reference-count bump. The controller hands the same document to slots,
+//! Data Buffer cells and memo rows without copying it. The only mutator,
+//! [`Value::set_field`], copies on write, so a clone never observes a
+//! change made through another handle.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -25,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(v.get_field("user").unwrap().as_str(), Some("alice"));
 /// assert!(v.truthy());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Serialize, Deserialize, Default)]
 pub enum Value {
     /// Absent / null.
     #[default]
@@ -37,12 +45,29 @@ pub enum Value {
     /// 64-bit float. Compared and hashed by canonical bit pattern
     /// (`-0.0` is normalized to `0.0`; `NaN`s are all equal).
     Float(f64),
-    /// UTF-8 string.
-    Str(String),
-    /// Ordered list.
-    List(Vec<Value>),
-    /// String-keyed map with deterministic (sorted) iteration order.
-    Map(BTreeMap<String, Value>),
+    /// UTF-8 string, shared by reference.
+    Str(Arc<str>),
+    /// Ordered list, shared by reference.
+    List(Arc<Vec<Value>>),
+    /// String-keyed map with deterministic (sorted) iteration order,
+    /// shared by reference and copied on write by [`Value::set_field`].
+    Map(Arc<BTreeMap<String, Value>>),
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            // Same rule as `Hash`, so `Eq` is reflexive even for NaN.
+            (Value::Float(a), Value::Float(b)) => canonical_bits(*a) == canonical_bits(*b),
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::List(a), Value::List(b)) => a == b,
+            (Value::Map(a), Value::Map(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl Eq for Value {}
@@ -60,6 +85,8 @@ fn canonical_bits(f: f64) -> u64 {
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
         core::mem::discriminant(self).hash(state);
+        // `Arc<T>` hashes as `T`, and `str` as `String`, so sharing leaves
+        // the byte stream (and every `expr::stable_hash`) unchanged.
         match self {
             Value::Null => {}
             Value::Bool(b) => b.hash(state),
@@ -68,7 +95,7 @@ impl Hash for Value {
             Value::Str(s) => s.hash(state),
             Value::List(l) => l.hash(state),
             Value::Map(m) => {
-                for (k, v) in m {
+                for (k, v) in m.iter() {
                     k.hash(state);
                     v.hash(state);
                 }
@@ -80,17 +107,19 @@ impl Hash for Value {
 impl Value {
     /// Convenience constructor for a string value.
     pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(s.into())
+        Value::Str(s.into().into())
     }
 
     /// Convenience constructor for a map value.
     pub fn map<K: Into<String>, const N: usize>(entries: [(K, Value); N]) -> Value {
-        Value::Map(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        Value::Map(Arc::new(
+            entries.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+        ))
     }
 
     /// Convenience constructor for a list value.
     pub fn list<const N: usize>(items: [Value; N]) -> Value {
-        Value::List(items.into())
+        Value::List(Arc::new(items.into()))
     }
 
     /// JavaScript-style truthiness, used by branch conditions (`when`
@@ -136,7 +165,7 @@ impl Value {
     /// Borrow as `&str` if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(&**s),
             _ => None,
         }
     }
@@ -144,7 +173,7 @@ impl Value {
     /// Borrow as a list if this is a `List`.
     pub fn as_list(&self) -> Option<&[Value]> {
         match self {
-            Value::List(l) => Some(l),
+            Value::List(l) => Some(l.as_slice()),
             _ => None,
         }
     }
@@ -152,7 +181,7 @@ impl Value {
     /// Borrow as a map if this is a `Map`.
     pub fn as_map(&self) -> Option<&BTreeMap<String, Value>> {
         match self {
-            Value::Map(m) => Some(m),
+            Value::Map(m) => Some(&**m),
             _ => None,
         }
     }
@@ -165,14 +194,17 @@ impl Value {
     /// Inserts `field` into a `Map`, turning `Null` into an empty map
     /// first. Returns the previous value if any.
     ///
+    /// Copies on write: if the map is shared with other clones, this
+    /// value gets its own copy first and the clones are left untouched.
+    ///
     /// # Panics
     /// Panics if `self` is neither `Map` nor `Null`.
     pub fn set_field(&mut self, field: impl Into<String>, value: Value) -> Option<Value> {
         if matches!(self, Value::Null) {
-            *self = Value::Map(BTreeMap::new());
+            *self = Value::Map(Arc::default());
         }
         match self {
-            Value::Map(m) => m.insert(field.into(), value),
+            Value::Map(m) => Arc::make_mut(m).insert(field.into(), value),
             other => panic!("set_field on non-map value {other:?}"),
         }
     }
@@ -222,19 +254,19 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Value {
-        Value::Str(s.to_owned())
+        Value::Str(s.into())
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Value {
-        Value::Str(s)
+        Value::Str(s.into())
     }
 }
 
 impl<T: Into<Value>> From<Vec<T>> for Value {
     fn from(v: Vec<T>) -> Value {
-        Value::List(v.into_iter().map(Into::into).collect())
+        Value::List(Arc::new(v.into_iter().map(Into::into).collect()))
     }
 }
 
@@ -292,8 +324,8 @@ mod tests {
         assert!(!Value::Float(f64::NAN).truthy());
         assert!(!Value::str("").truthy());
         assert!(Value::str("x").truthy());
-        assert!(!Value::List(vec![]).truthy());
-        assert!(!Value::Map(BTreeMap::new()).truthy());
+        assert!(!Value::from(Vec::<Value>::new()).truthy());
+        assert!(!Value::Map(Arc::default()).truthy());
     }
 
     #[test]
@@ -352,6 +384,67 @@ mod tests {
         let small = Value::Int(1);
         let big = Value::map([("key", Value::str("x".repeat(100)))]);
         assert!(big.approx_size_bytes() > small.approx_size_bytes() + 90);
+    }
+
+    #[test]
+    fn nan_equality_is_reflexive() {
+        let nan = Value::Float(f64::NAN);
+        assert_eq!(nan, nan.clone());
+        assert_eq!(nan, Value::Float(-f64::NAN), "all NaNs are equal");
+        // A rebuilt document compares by content, not by shared pointer.
+        let doc = || Value::map([("x", Value::list([Value::Float(f64::NAN)]))]);
+        assert_eq!(doc(), doc());
+        assert_eq!(hash_of(&doc()), hash_of(&doc()));
+    }
+
+    #[test]
+    fn signed_zeros_are_equal() {
+        assert_eq!(Value::Float(0.0), Value::Float(-0.0));
+        assert_ne!(Value::Float(0.0), Value::Float(f64::MIN_POSITIVE));
+    }
+
+    #[test]
+    fn equal_nested_documents_hash_equal() {
+        let built = Value::map([
+            ("a", Value::list([Value::Float(-0.0), Value::str("s")])),
+            ("b", Value::map([("c", Value::Int(7))])),
+        ]);
+        let mut inner = Value::Null;
+        inner.set_field("c", Value::Int(7));
+        let mut grown = Value::Null;
+        grown.set_field("b", inner);
+        grown.set_field("a", Value::from(vec![Value::Float(0.0), Value::from("s")]));
+        assert_eq!(built, grown);
+        assert_eq!(hash_of(&built), hash_of(&grown));
+    }
+
+    #[test]
+    fn clones_share_and_set_field_copies_on_write() {
+        let orig = Value::map([
+            ("inner", Value::map([("k", Value::Int(1))])),
+            ("n", Value::Int(0)),
+        ]);
+        let mut copy = orig.clone();
+        let (Value::Map(a), Value::Map(b)) = (&orig, &copy) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(a, b), "clone is a reference bump");
+
+        let mut inner = copy.get_field("inner").cloned().unwrap();
+        inner.set_field("k", Value::Int(2));
+        copy.set_field("inner", inner);
+        copy.set_field("n", Value::Int(1));
+
+        assert_eq!(orig.get_field("n"), Some(&Value::Int(0)));
+        assert_eq!(
+            orig.get_field("inner").and_then(|v| v.get_field("k")),
+            Some(&Value::Int(1)),
+            "nested maps of the original are untouched"
+        );
+        assert_eq!(
+            copy.get_field("inner").and_then(|v| v.get_field("k")),
+            Some(&Value::Int(2))
+        );
     }
 
     #[test]

@@ -112,10 +112,13 @@ fn stable_hash(v: &Value) -> i64 {
     (h.finish() & 0x7fff_ffff_ffff_ffff) as i64
 }
 
-fn display_for_concat(v: &Value) -> String {
+fn push_for_concat(out: &mut String, v: &Value) {
     match v {
-        Value::Str(s) => s.clone(),
-        other => other.to_string(),
+        Value::Str(s) => out.push_str(s),
+        other => {
+            use std::fmt::Write;
+            let _ = write!(out, "{other}");
+        }
     }
 }
 
@@ -180,23 +183,23 @@ impl Expr {
             Expr::Concat(parts) => {
                 let mut s = String::new();
                 for p in parts {
-                    s.push_str(&display_for_concat(&p.eval(input, env)?));
+                    push_for_concat(&mut s, &p.eval(input, env)?);
                 }
-                Ok(Value::Str(s))
+                Ok(Value::from(s))
             }
             Expr::MakeMap(entries) => {
                 let mut m = BTreeMap::new();
                 for (k, e) in entries {
                     m.insert(k.clone(), e.eval(input, env)?);
                 }
-                Ok(Value::Map(m))
+                Ok(Value::Map(m.into()))
             }
             Expr::MakeList(items) => {
                 let mut l = Vec::with_capacity(items.len());
                 for e in items {
                     l.push(e.eval(input, env)?);
                 }
-                Ok(Value::List(l))
+                Ok(Value::List(l.into()))
             }
             Expr::HashOf(e) => Ok(Value::Int(stable_hash(&e.eval(input, env)?))),
             Expr::Len(e) => {
@@ -230,7 +233,7 @@ fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Result<Value, ProgError> {
     // String + string concatenates.
     if op == Add {
         if let (Value::Str(x), Value::Str(y)) = (a, b) {
-            return Ok(Value::Str(format!("{x}{y}")));
+            return Ok(Value::from(format!("{x}{y}")));
         }
     }
     // Integer-preserving arithmetic when both sides are Int.
@@ -404,6 +407,71 @@ mod tests {
 
     fn ev(e: &Expr) -> Value {
         e.eval(&Value::Null, &FxHashMap::default()).unwrap()
+    }
+
+    /// The fixed document set whose `HashOf` outputs are pinned below.
+    /// Built only through the public constructors, so the same set can be
+    /// hashed by any representation of `Value`.
+    fn pinned_documents() -> Vec<Value> {
+        let nested = Value::map([
+            (
+                "items",
+                Value::list([
+                    Value::map([("id", Value::Int(1))]),
+                    Value::map([
+                        ("id", Value::Int(2)),
+                        ("tags", Value::list([Value::str("a"), Value::Null])),
+                    ]),
+                ]),
+            ),
+            (
+                "meta",
+                Value::map([("ok", Value::Bool(false)), ("score", Value::Float(0.75))]),
+            ),
+        ]);
+        vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(-42),
+            Value::Float(2.5),
+            Value::Float(-0.0),
+            Value::str(""),
+            Value::str("alice"),
+            Value::list([]),
+            Value::list([Value::Int(1), Value::str("x")]),
+            Value::map::<&str, 0>([]),
+            Value::map([("balance", Value::Int(100)), ("user", Value::str("alice"))]),
+            nested,
+        ]
+    }
+
+    /// Every suite feeds `HashOf` into function outputs and storage keys,
+    /// so these values anchor every golden. They must not change when the
+    /// representation of `Value` does.
+    #[test]
+    fn stable_hash_is_pinned() {
+        let got: Vec<i64> = pinned_documents().iter().map(stable_hash).collect();
+        assert_eq!(
+            got,
+            [
+                2938590176187398597,
+                5952120282854798687,
+                6225158695643651174,
+                6273617091505980226,
+                6277513760715603110,
+                1755183138300306906,
+                4036608727872782060,
+                9018936339530640160,
+                7213160709621351272,
+                7697331399106995587,
+                7727281032805494257,
+                1728119946853280720,
+            ]
+        );
+        // `-0.0` hashes as `0.0`, and `HashOf` is the same function.
+        assert_eq!(stable_hash(&Value::Float(0.0)), got[4]);
+        let via_expr = Expr::HashOf(Box::new(Expr::Lit(pinned_documents()[11].clone())));
+        assert_eq!(ev(&via_expr), Value::Int(got[11]));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Function specifications, annotations, and the function registry.
 
-use std::collections::HashMap;
+use specfaas_sim::hash::FxHashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -107,7 +107,7 @@ impl FunctionSpec {
 #[derive(Debug, Clone, Default)]
 pub struct FunctionRegistry {
     funcs: Vec<FunctionSpec>,
-    by_name: HashMap<String, FuncId>,
+    by_name: FxHashMap<String, FuncId>,
 }
 
 impl FunctionRegistry {

@@ -202,7 +202,7 @@ impl Interp {
     fn key_string(&self, e: &crate::expr::Expr) -> Result<String, ProgError> {
         let v = self.eval(e)?;
         Ok(match v {
-            Value::Str(s) => s,
+            Value::Str(s) => s.to_string(),
             other => other.to_string(),
         })
     }
