@@ -25,6 +25,8 @@
 //! * **Merge (call return)** — the callee's cells fold into the caller's
 //!   (§V-D): callee writes become caller writes.
 
+use std::hash::BuildHasher;
+
 use specfaas_sim::hash::FxHashMap;
 
 use specfaas_storage::Value;
@@ -55,6 +57,39 @@ struct Cell {
     read: bool,
     written: bool,
     value: Option<Value>,
+}
+
+/// One record's row: a cell per in-progress function that accessed it.
+#[derive(Debug, Clone, PartialEq)]
+struct Row {
+    key: String,
+    cells: FxHashMap<SlotId, Cell>,
+}
+
+/// Rows bucketed by the hash of their record key, so that an access
+/// finds or creates its row with one probe and builds a key `String`
+/// only for a new record. Keys whose hashes collide share a bucket. A
+/// row stays after its cells clear: the buffer lives for one invocation,
+/// so its rows are bounded by the records the invocation touched, and
+/// commit and squash free nothing.
+type Rows = FxHashMap<u64, Vec<Row>>;
+
+/// The cells of `key`'s row, created empty if the record is new.
+fn row_mut<'a>(rows: &'a mut Rows, key: &str) -> &'a mut FxHashMap<SlotId, Cell> {
+    let bucket = rows
+        .entry(rows.hasher().hash_one(key))
+        .or_insert_with(|| Vec::with_capacity(1));
+    let i = match bucket.iter().position(|r| r.key == key) {
+        Some(i) => i,
+        None => {
+            bucket.push(Row {
+                key: key.to_owned(),
+                cells: FxHashMap::default(),
+            });
+            bucket.len() - 1
+        }
+    };
+    &mut bucket[i].cells
 }
 
 /// Result of a buffered read.
@@ -89,7 +124,7 @@ pub enum ReadResult {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DataBuffer {
-    rows: FxHashMap<String, FxHashMap<SlotId, Cell>>,
+    rows: Rows,
     forwards: u64,
     violations: u64,
 }
@@ -114,35 +149,33 @@ impl DataBuffer {
         let my_pos = order
             .order_of(slot)
             .expect("writer must be an in-progress function");
-        let row = self.rows.entry(key.to_owned()).or_default();
+        let row = row_mut(&mut self.rows, key);
 
-        // Successors in program order.
-        let mut successors: Vec<(usize, SlotId)> = row
-            .keys()
-            .filter_map(|s| order.order_of(*s).map(|p| (p, *s)))
-            .filter(|(p, _)| *p > my_pos)
-            .collect();
-        successors.sort_unstable();
-
-        let mut victims = Vec::new();
-        for (_, s) in &successors {
-            let cell = &row[s];
-            if cell.read {
-                victims.push(*s);
-            }
+        // One pass over the successors: the scan ends at (and includes)
+        // the first column with W set, since a later write re-defines the
+        // record and insulates everything after it (WAW handled without
+        // squash). Readers up to there read stale data.
+        let mut stop = usize::MAX;
+        let mut readers: Vec<(usize, SlotId)> = Vec::new();
+        for (&s, cell) in row.iter() {
+            let Some(p) = order.order_of(s).filter(|&p| p > my_pos) else {
+                continue;
+            };
             if cell.written {
-                // Scanning ends at (and includes) the first column with W
-                // set: a later write re-defines the record, insulating
-                // everything after it (WAW handled without squash).
-                break;
+                stop = stop.min(p);
+            }
+            if cell.read {
+                readers.push((p, s));
             }
         }
-        self.violations += victims.len() as u64;
+        readers.retain(|&(p, _)| p <= stop);
+        readers.sort_unstable();
+        self.violations += readers.len() as u64;
 
         let cell = row.entry(slot).or_default();
         cell.written = true;
         cell.value = Some(value);
-        victims
+        readers.into_iter().map(|(_, s)| s).collect()
     }
 
     /// Performs the buffered part of a read of `key` by `slot`.
@@ -150,26 +183,28 @@ impl DataBuffer {
         let my_pos = order
             .order_of(slot)
             .expect("reader must be an in-progress function");
-        let row = self.rows.entry(key.to_owned()).or_default();
+        let row = row_mut(&mut self.rows, key);
 
-        // Predecessors in reverse program order.
-        let mut preds: Vec<(usize, SlotId)> = row
-            .keys()
-            .filter_map(|s| order.order_of(*s).map(|p| (p, *s)))
-            .filter(|(p, _)| *p < my_pos)
-            .collect();
-        preds.sort_unstable_by(|a, b| b.cmp(a));
-
-        let mut result = ReadResult::Global;
-        for (_, s) in preds {
-            let cell = &row[&s];
-            if cell.written {
-                result =
-                    ReadResult::Forwarded(cell.value.clone().expect("written cell has a value"));
-                self.forwards += 1;
-                break;
+        // One pass: the nearest predecessor with W set forwards its value.
+        let mut nearest: Option<(usize, &Value)> = None;
+        for (&s, cell) in row.iter() {
+            let Some(value) = cell.value.as_ref().filter(|_| cell.written) else {
+                continue;
+            };
+            match order.order_of(s) {
+                Some(p) if p < my_pos && nearest.is_none_or(|(q, _)| p > q) => {
+                    nearest = Some((p, value));
+                }
+                _ => {}
             }
         }
+        let result = match nearest {
+            Some((_, value)) => {
+                self.forwards += 1;
+                ReadResult::Forwarded(value.clone())
+            }
+            None => ReadResult::Global,
+        };
         row.entry(slot).or_default().read = true;
         result
     }
@@ -178,43 +213,42 @@ impl DataBuffer {
     /// list to see whether a producer has produced yet).
     pub fn has_write(&self, slot: SlotId, key: &str) -> bool {
         self.rows
-            .get(key)
-            .and_then(|row| row.get(&slot))
-            .map(|c| c.written)
-            .unwrap_or(false)
+            .get(&self.rows.hasher().hash_one(key))
+            .and_then(|bucket| bucket.iter().find(|r| r.key == key))
+            .and_then(|row| row.cells.get(&slot))
+            .is_some_and(|c| c.written)
     }
 
     /// Commits `slot`: clears its cells and returns its buffered writes
     /// (key, value) for flushing to global storage.
     pub fn commit(&mut self, slot: SlotId) -> Vec<(String, Value)> {
         let mut flush = Vec::new();
-        for (key, row) in &mut self.rows {
-            if let Some(cell) = row.remove(&slot) {
+        for row in self.rows.values_mut().flatten() {
+            if let Some(cell) = row.cells.remove(&slot) {
                 if cell.written {
-                    flush.push((key.clone(), cell.value.expect("written cell has a value")));
+                    let value = cell.value.expect("written cell has a value");
+                    flush.push((row.key.clone(), value));
                 }
             }
         }
-        self.rows.retain(|_, row| !row.is_empty());
         flush.sort_by(|a, b| a.0.cmp(&b.0)); // deterministic flush order
         flush
     }
 
     /// Squashes `slot`: invalidates all its cells.
     pub fn squash(&mut self, slot: SlotId) {
-        for row in self.rows.values_mut() {
-            row.remove(&slot);
+        for row in self.rows.values_mut().flatten() {
+            row.cells.remove(&slot);
         }
-        self.rows.retain(|_, row| !row.is_empty());
     }
 
     /// Merges the callee's cells into the caller's on a call return
     /// (§V-D). Callee writes supersede caller writes (the callee is the
     /// more recent definition); read bits are OR-ed.
     pub fn merge(&mut self, callee: SlotId, caller: SlotId) {
-        for row in self.rows.values_mut() {
-            if let Some(child) = row.remove(&callee) {
-                let parent = row.entry(caller).or_default();
+        for row in self.rows.values_mut().flatten() {
+            if let Some(child) = row.cells.remove(&callee) {
+                let parent = row.cells.entry(caller).or_default();
                 parent.read |= child.read;
                 if child.written {
                     parent.written = true;
@@ -222,12 +256,15 @@ impl DataBuffer {
                 }
             }
         }
-        self.rows.retain(|_, row| !row.is_empty());
     }
 
     /// Number of records with live cells.
     pub fn rows(&self) -> usize {
-        self.rows.len()
+        self.rows
+            .values()
+            .flatten()
+            .filter(|r| !r.cells.is_empty())
+            .count()
     }
 
     /// Values forwarded along in-order RAW dependences.
@@ -244,9 +281,171 @@ impl DataBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specfaas_sim::SimRng;
 
     fn s(i: u64) -> SlotId {
         SlotId(i)
+    }
+
+    /// Reference model of [`DataBuffer::write`]: the sort-based scan the
+    /// single pass replaced.
+    fn reference_write(
+        db: &mut DataBuffer,
+        slot: SlotId,
+        key: &str,
+        value: Value,
+        order: &impl ProgramOrder,
+    ) -> Vec<SlotId> {
+        let my_pos = order.order_of(slot).expect("writer in progress");
+        let row = row_mut(&mut db.rows, key);
+        let mut successors: Vec<(usize, SlotId)> = row
+            .keys()
+            .filter_map(|s| order.order_of(*s).map(|p| (p, *s)))
+            .filter(|(p, _)| *p > my_pos)
+            .collect();
+        successors.sort_unstable();
+        let mut victims = Vec::new();
+        for (_, s) in &successors {
+            let cell = &row[s];
+            if cell.read {
+                victims.push(*s);
+            }
+            if cell.written {
+                break;
+            }
+        }
+        db.violations += victims.len() as u64;
+        let cell = row.entry(slot).or_default();
+        cell.written = true;
+        cell.value = Some(value);
+        victims
+    }
+
+    /// Reference model of [`DataBuffer::read`]: the sort-based scan the
+    /// single pass replaced.
+    fn reference_read(
+        db: &mut DataBuffer,
+        slot: SlotId,
+        key: &str,
+        order: &impl ProgramOrder,
+    ) -> ReadResult {
+        let my_pos = order.order_of(slot).expect("reader in progress");
+        let row = row_mut(&mut db.rows, key);
+        let mut preds: Vec<(usize, SlotId)> = row
+            .keys()
+            .filter_map(|s| order.order_of(*s).map(|p| (p, *s)))
+            .filter(|(p, _)| *p < my_pos)
+            .collect();
+        preds.sort_unstable_by(|a, b| b.cmp(a));
+        let mut result = ReadResult::Global;
+        for (_, s) in preds {
+            let cell = &row[&s];
+            if cell.written {
+                result = ReadResult::Forwarded(cell.value.clone().expect("written"));
+                db.forwards += 1;
+                break;
+            }
+        }
+        row.entry(slot).or_default().read = true;
+        result
+    }
+
+    /// Two keys whose hashes collide share a bucket but keep their own
+    /// rows (the collision is planted by filing a foreign row under
+    /// `a`'s hash).
+    #[test]
+    fn colliding_keys_keep_separate_rows() {
+        let order = vec![s(0), s(1)];
+        let mut db = DataBuffer::new();
+        let foreign = Row {
+            key: "b".into(),
+            cells: FxHashMap::from_iter([(s(5), Cell::default())]),
+        };
+        let hash = db.rows.hasher().hash_one("a");
+        db.rows.insert(hash, vec![foreign.clone()]);
+
+        assert_eq!(db.read(s(1), "a", &order), ReadResult::Global);
+        assert_eq!(db.write(s(0), "a", Value::Int(1), &order), vec![s(1)]);
+        assert!(db.has_write(s(0), "a"));
+        assert_eq!(db.rows(), 2);
+        assert_eq!(
+            db.rows[&hash][0], foreign,
+            "the other key's row is untouched"
+        );
+        assert_eq!(db.commit(s(0)), vec![("a".into(), Value::Int(1))]);
+        db.squash(s(1));
+        assert_eq!(db.rows(), 1);
+        assert_eq!(db.rows[&hash][0], foreign);
+    }
+
+    /// The single-pass read/write agree with the reference model on
+    /// forwarded values, victims (in order), and the forward and
+    /// violation counts, over random program orders and interleavings
+    /// of reads, writes, squashes, merges and commits.
+    #[test]
+    fn single_pass_matches_sort_based_reference() {
+        const KEYS: [&str; 4] = ["a", "b", "c", "d"];
+        let (mut forwards, mut violations) = (0, 0);
+        for seed in 0..200 {
+            let mut rng = SimRng::seed(seed);
+            let mut order: Vec<SlotId> = (0..8).map(s).collect();
+            rng.shuffle(&mut order);
+            let mut next = 8;
+            let (mut fast, mut reference) = (DataBuffer::new(), DataBuffer::new());
+            for step in 0..300 {
+                let slot = order[rng.uniform_u64(order.len() as u64) as usize];
+                let key = KEYS[rng.uniform_u64(KEYS.len() as u64) as usize];
+                match rng.uniform_u64(20) {
+                    0..=8 => assert_eq!(
+                        fast.read(slot, key, &order),
+                        reference_read(&mut reference, slot, key, &order),
+                        "seed {seed} step {step}: read {slot} {key}"
+                    ),
+                    9..=16 => {
+                        let v = Value::Int(step);
+                        assert_eq!(
+                            fast.write(slot, key, v.clone(), &order),
+                            reference_write(&mut reference, slot, key, v, &order),
+                            "seed {seed} step {step}: write {slot} {key}"
+                        );
+                    }
+                    // A slot leaves the pipeline (commit, squash or
+                    // callee merge) and a fresh one enters at a random
+                    // position, so program order keeps changing.
+                    17 => {
+                        assert_eq!(fast.commit(slot), reference.commit(slot));
+                        order.retain(|x| *x != slot);
+                    }
+                    18 => {
+                        fast.squash(slot);
+                        reference.squash(slot);
+                        order.retain(|x| *x != slot);
+                    }
+                    _ => {
+                        let into = order[rng.uniform_u64(order.len() as u64) as usize];
+                        if into != slot {
+                            fast.merge(slot, into);
+                            reference.merge(slot, into);
+                            order.retain(|x| *x != slot);
+                        }
+                    }
+                }
+                if order.len() < 8 {
+                    let at = rng.uniform_u64(order.len() as u64 + 1) as usize;
+                    order.insert(at, s(next));
+                    next += 1;
+                }
+                assert_eq!(fast.forwards(), reference.forwards(), "seed {seed}");
+                assert_eq!(fast.violations(), reference.violations(), "seed {seed}");
+            }
+            assert_eq!(fast.rows, reference.rows, "seed {seed}: final cells");
+            forwards += fast.forwards();
+            violations += fast.violations();
+        }
+        assert!(
+            forwards > 1_000 && violations > 1_000,
+            "{forwards} {violations}"
+        );
     }
 
     #[test]

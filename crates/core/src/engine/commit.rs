@@ -1,5 +1,5 @@
 //! Completion, branch resolution, successor validation and strictly
-//! in-order commit (Â§V, Â§V-E).
+//! in-order commit (§V, §V-E).
 use super::*;
 
 impl SpecCore {
@@ -88,11 +88,7 @@ impl SpecCore {
                 let end = Self::block_end(req, head);
                 let start = req.pipeline.position(head).expect("live");
                 let stop = req.pipeline.position(end).expect("live");
-                req.pipeline
-                    .iter_order()
-                    .skip(start)
-                    .take(stop - start + 1)
-                    .collect()
+                req.pipeline.order()[start..=stop].to_vec()
             };
             let cascade = block.len() as u32;
             if self.rt.tracer.enabled() {
@@ -136,23 +132,24 @@ impl SpecCore {
     }
 
     pub(super) fn resolve_branch(&mut self, req_id: RequestId, slot_id: SlotId) {
-        let Some(req) = self.requests.get(&req_id) else {
+        let Some(req) = self.requests.get_mut(&req_id) else {
             return;
         };
-        let Some(slot) = req.pipeline.slot(slot_id) else {
+        let Some(slot) = req.pipeline.slot_mut(slot_id) else {
             return;
         };
         let SlotRole::Entry { entry } = slot.role else {
             return;
         };
-        let EntryKind::Branch { field, .. } = self.seqtable.kind_at(entry).clone() else {
+        let EntryKind::Branch { field, .. } = self.seqtable.kind_at(entry) else {
             return;
         };
-        let Some(predicted) = slot.predicted_taken else {
-            return; // never speculated past
+        // Never speculated past, or already resolved.
+        let Some(predicted) = slot.predicted_taken.take() else {
+            return;
         };
-        let output = slot.output.clone().expect("completed");
-        let actual = Self::branch_outcome(&output, field.as_deref());
+        let output = slot.output.as_ref().expect("completed");
+        let actual = Self::branch_outcome(output, field.as_deref());
         self.predictor.record_outcome(predicted == actual);
         if self.rt.tracer.enabled() {
             let now = self.rt.sim.now();
@@ -165,16 +162,10 @@ impl SpecCore {
                 },
             );
         }
-        {
-            let req = self.requests.get_mut(&req_id).expect("live");
-            let slot = req.pipeline.slot_mut(slot_id).expect("live");
-            slot.predicted_taken = None; // resolved
-        }
         if predicted != actual {
             // Squash the wrong path: everything after the branch.
-            let req = self.requests.get_mut(&req_id).expect("live");
-            let succ = req.pipeline.successors(slot_id);
-            if let Some(first) = succ.first().copied() {
+            let pos = req.pipeline.position(slot_id).expect("live");
+            if let Some(&first) = req.pipeline.order().get(pos + 1) {
                 self.squash_from(req_id, first, SquashKind::WrongPath);
             }
             // Allow re-extension along the correct path.
@@ -186,7 +177,7 @@ impl SpecCore {
     /// Validates the memo-predicted input of this slot's program-order
     /// successor against the actual output (§V-B).
     pub(super) fn validate_successor(&mut self, req_id: RequestId, slot_id: SlotId) {
-        let Some(req) = self.requests.get(&req_id) else {
+        let Some(req) = self.requests.get_mut(&req_id) else {
             return;
         };
         let Some(slot) = req.pipeline.slot(slot_id) else {
@@ -195,49 +186,41 @@ impl SpecCore {
         let SlotRole::Entry { entry } = slot.role else {
             return;
         };
-        let output = slot.output.clone().expect("completed");
         let expected = match self.seqtable.kind_at(entry) {
-            EntryKind::Simple { .. } => output,
+            EntryKind::Simple { .. } => slot.output.as_ref().expect("completed"),
             // Branch entries route their own input through; forks are
             // spawned at commit with actual outputs.
-            EntryKind::Branch { .. } => slot.input.clone().expect("input"),
+            EntryKind::Branch { .. } => slot.input.as_ref().expect("input"),
             EntryKind::Fork { .. } => return,
         };
         // The successor is the first Entry-role slot after this slot's
         // descendant block.
         let anchor = Self::block_end(req, slot_id);
         let pos = req.pipeline.position(anchor).expect("live");
-        let order: Vec<SlotId> = req.pipeline.iter_order().collect();
-        let Some(&succ) = order.get(pos + 1) else {
+        let Some(&succ) = req.pipeline.order().get(pos + 1) else {
             return;
         };
         let s = req.pipeline.slot(succ).expect("live");
-        if !matches!(s.role, SlotRole::Entry { .. }) {
+        if !matches!(s.role, SlotRole::Entry { .. }) || !s.input_speculative {
             return;
         }
-        if s.input_speculative {
-            if s.input.as_ref() == Some(&expected) {
-                // Validated: the prediction was right.
-                let req = self.requests.get_mut(&req_id).expect("live");
-                req.pipeline.slot_mut(succ).expect("live").input_speculative = false;
-            } else {
-                // Correct the input BEFORE squashing: squash_from ends
-                // with a pump that may relaunch the reset slot on the
-                // spot, and that instance must capture the validated
-                // input — relaunching with the stale one would recompute
-                // the stale output, self-validate the stale speculation
-                // downstream, and learn a wrong memo row at commit.
-                {
-                    let req = self.requests.get_mut(&req_id).expect("live");
-                    if let Some(s) = req.pipeline.slot_mut(succ) {
-                        s.input = Some(expected);
-                        s.input_speculative = false;
-                    }
-                }
-                self.squash_from(req_id, succ, SquashKind::WrongInput);
-                self.refresh_prediction(req_id, succ);
-            }
+        if s.input.as_ref() == Some(expected) {
+            // Validated: the prediction was right.
+            req.pipeline.slot_mut(succ).expect("live").input_speculative = false;
+            return;
         }
+        // Correct the input BEFORE squashing: squash_from ends with a
+        // pump that may relaunch the reset slot on the spot, and that
+        // instance must capture the validated input — relaunching with
+        // the stale one would recompute the stale output, self-validate
+        // the stale speculation downstream, and learn a wrong memo row at
+        // commit.
+        let expected = expected.clone();
+        let s = req.pipeline.slot_mut(succ).expect("live");
+        s.input = Some(expected);
+        s.input_speculative = false;
+        self.squash_from(req_id, succ, SquashKind::WrongInput);
+        self.refresh_prediction(req_id, succ);
     }
 
     pub(super) fn wake_waiting_caller(&mut self, req_id: RequestId, callee_slot: SlotId) {
@@ -309,7 +292,7 @@ impl SpecCore {
         }
         // Flush buffered writes to global storage.
         let flush = req.buffer.commit(slot_id);
-        let slot = req.pipeline.remove(slot_id);
+        let mut slot = req.pipeline.remove(slot_id);
         req.extended.remove(&slot_id);
         // Credit the committed work (including merged callee stints).
         if let Some(t) = req.slot_cpu.remove(&slot_id) {
@@ -333,67 +316,18 @@ impl SpecCore {
             );
         }
 
-        // Record committed knowledge for end-of-invocation table updates.
-        let input = slot.input.clone().expect("committed slot has input");
-        let output = slot.output.clone().expect("committed slot has output");
-        let callee_inputs: Vec<Value> = slot
-            .learned_calls
-            .iter()
-            .map(|(_, i, _)| i.clone())
-            .collect();
-        let callees: Vec<FuncId> = slot.learned_calls.iter().map(|(f, _, _)| *f).collect();
-        req.learned.push(Learned::Memo {
-            func: slot.func,
-            input: input.clone(),
-            output: output.clone(),
-            callee_inputs,
-        });
-        // Promote the call observations bubbled up from consumed callees:
-        // each carries its own direct callee structure, so mid-tier
-        // functions get memoization rows and sequence-table edges too.
-        for rec in req.call_records.remove(&slot_id).unwrap_or_default() {
-            req.learned.push(Learned::Memo {
-                func: rec.func,
-                input: rec.input,
-                output: rec.output,
-                callee_inputs: rec.callee_inputs,
-            });
-            req.learned.push(Learned::Calls {
-                caller: rec.func,
-                callees: rec.callee_funcs,
-            });
-        }
-        if let SlotRole::Entry { entry } = slot.role {
-            if let EntryKind::Branch { field, .. } = self.seqtable.kind_at(entry).clone() {
-                let taken = Self::branch_outcome(&output, field.as_deref());
-                req.learned.push(Learned::Branch {
-                    entry,
-                    path: slot.path,
-                    taken,
-                });
-            }
-            req.learned.push(Learned::Calls {
-                caller: slot.func,
-                callees,
-            });
-        }
-
-        // Useful core time accounting.
-        // (complete_slot already put it into slot_cpu → metrics)
-        // Note: metrics.useful_core_time is credited here.
-        // Fork spawn or end detection.
-        let mut fork_spawn: Option<(Vec<usize>, Option<usize>, Value)> = None;
+        let input = slot.input.take().expect("committed slot has input");
+        let output = slot.output.take().expect("committed slot has output");
+        // Fork spawn, join contribution or end detection.
+        let mut fork: Option<(usize, Value)> = None;
         let mut join_target: Option<(usize, Value)> = None;
         let mut reached_end = false;
         if let SlotRole::Entry { entry } = slot.role {
-            match self.seqtable.kind_at(entry).clone() {
-                EntryKind::Fork { branches, join } => {
-                    fork_spawn = Some((branches, join, output.clone()));
-                }
-                EntryKind::Simple { next } => match next {
-                    Some(n) if self.seqtable.compiled().entries[n].join_arity > 1 => {
-                        join_target = Some((n, output.clone()));
-                    }
+            let joins_at = |n: usize| self.seqtable.compiled().entries[n].join_arity > 1;
+            match self.seqtable.kind_at(entry) {
+                EntryKind::Fork { .. } => fork = Some((entry, output.clone())),
+                EntryKind::Simple { next } => match *next {
+                    Some(n) if joins_at(n) => join_target = Some((n, output.clone())),
                     Some(_) => {}
                     None => reached_end = true,
                 },
@@ -403,19 +337,27 @@ impl SpecCore {
                     not_taken,
                 } => {
                     let dir = Self::branch_outcome(&output, field.as_deref());
-                    let target = if dir { taken } else { not_taken };
-                    match target {
-                        Some(n) if self.seqtable.compiled().entries[n].join_arity > 1 => {
-                            join_target = Some((n, slot.input.clone().expect("input")));
-                        }
+                    req.branches.push((entry, slot.path, dir));
+                    match if dir { *taken } else { *not_taken } {
+                        Some(n) if joins_at(n) => join_target = Some((n, input.clone())),
                         Some(_) => {}
                         None => reached_end = true,
                     }
                 }
             }
         }
-
-        let req = self.requests.get_mut(&req_id).expect("live");
+        // Record committed knowledge for end-of-invocation table updates:
+        // the callees this slot consumed committed before it did.
+        let consumed = req
+            .call_records
+            .extract_if(.., |(entry, _)| *entry == slot_id);
+        req.observed.extend(consumed.map(|(_, o)| o));
+        req.observed.push(Observed {
+            func: slot.func,
+            input,
+            output,
+            calls: slot.learned_calls,
+        });
         if reached_end {
             req.end_committed = true;
         }
@@ -423,9 +365,12 @@ impl SpecCore {
         // Fork: spawn branch heads now, with actual outputs. Their inputs
         // are real, so memo rows can immediately predict their outputs and
         // let extension speculate down each branch.
-        if let Some((branches, _join, payload)) = fork_spawn {
+        if let Some((entry, payload)) = fork {
+            let EntryKind::Fork { branches, .. } = self.seqtable.kind_at(entry) else {
+                unreachable!("fork entry");
+            };
             let mut spawned = Vec::new();
-            for b in branches {
+            for &b in branches {
                 let func = self.seqtable.func_at(b);
                 let req = self.requests.get_mut(&req_id).expect("live");
                 let path = slot.path.extend(slot.func.0);
@@ -477,39 +422,10 @@ impl SpecCore {
         };
         // Apply committed knowledge to the persistent tables (§V-E: never
         // updated with speculative data — the whole invocation validated).
-        // Group memo knowledge by (func, input): the callee inputs come
-        // from the commit record of the caller.
-        let mut memo_rows: FxHashMap<(u32, Value), (Value, Vec<Value>)> = FxHashMap::default();
-        for l in &req.learned {
-            match l {
-                Learned::Memo {
-                    func,
-                    input,
-                    output,
-                    callee_inputs,
-                } => {
-                    let e = memo_rows
-                        .entry((func.0, input.clone()))
-                        .or_insert((output.clone(), Vec::new()));
-                    e.0 = output.clone();
-                    if !callee_inputs.is_empty() {
-                        e.1 = callee_inputs.clone();
-                    }
-                }
-                Learned::Branch { entry, path, taken } => {
-                    self.predictor
-                        .update(BranchSite::Entry(*entry), *path, *taken);
-                }
-                Learned::Calls { caller, callees } => {
-                    self.seqtable.learn_calls(*caller, callees);
-                }
-            }
+        for &(entry, path, taken) in &req.branches {
+            self.predictor.update(BranchSite::Entry(entry), path, taken);
         }
-        for ((func, input), (output, callee_inputs)) in memo_rows {
-            self.memos
-                .table_mut(func)
-                .insert(input, output, callee_inputs);
-        }
+        self.promote(req.observed);
         if self.rt.tracer.enabled() {
             self.rt.tracer.emit(
                 now,
@@ -541,5 +457,46 @@ impl SpecCore {
         }
         // Closed loop: this client immediately issues its next request.
         harness::closed_loop_resubmit(self);
+    }
+
+    /// Promotes one invocation's committed executions to the sequence
+    /// and memoization tables in a single pass, in first-commit order.
+    /// Every record counts towards its function's call structure. A
+    /// repeated `(func, input)` updates the row of its first commit in
+    /// place: the latest output wins, and non-empty callee inputs win
+    /// over empty ones. Rows reach the memo tables in first-commit
+    /// order, which fixes their relative LRU recency.
+    pub(super) fn promote(&mut self, mut observed: Vec<Observed>) {
+        let mut rows = 0;
+        for i in 0..observed.len() {
+            let o = &observed[i];
+            self.seqtable
+                .learn_calls(o.func, o.calls.iter().map(|&(callee, _)| callee));
+            let first = observed[..rows]
+                .iter()
+                .position(|r| r.func == o.func && r.input == o.input);
+            match first {
+                Some(j) => {
+                    let (kept, rest) = observed.split_at_mut(i);
+                    let (row, dup) = (&mut kept[j], &mut rest[0]);
+                    std::mem::swap(&mut row.output, &mut dup.output);
+                    if !dup.calls.is_empty() {
+                        std::mem::swap(&mut row.calls, &mut dup.calls);
+                    }
+                }
+                None => {
+                    observed.swap(rows, i);
+                    rows += 1;
+                }
+            }
+        }
+        observed.truncate(rows);
+        for o in observed {
+            self.memos.table_mut(o.func.0).insert(
+                o.input,
+                o.output,
+                o.calls.into_iter().map(|(_, input)| input),
+            );
+        }
     }
 }

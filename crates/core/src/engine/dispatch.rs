@@ -1,5 +1,5 @@
 //! The pump: extending speculation along the predicted path,
-//! launching ready slots and prefetching callees (paper Â§V-A/Â§V-D).
+//! launching ready slots and prefetching callees (paper §V-A/§V-D).
 use super::*;
 
 impl SpecCore {
@@ -31,25 +31,21 @@ impl SpecCore {
     }
 
     /// The last slot of `anchor`'s descendant block (the anchor itself or
-    /// its最later callee-descendants), after which a program-order
+    /// its latest callee-descendant), after which a program-order
     /// successor belongs.
     pub(super) fn block_end(req: &Req, anchor: SlotId) -> SlotId {
-        let mut block: FxHashSet<SlotId> = FxHashSet::default();
-        block.insert(anchor);
-        let mut last = anchor;
-        let order: Vec<SlotId> = req.pipeline.iter_order().collect();
+        let order = req.pipeline.order();
         let start = req.pipeline.position(anchor).expect("anchor live");
-        for &s in &order[start + 1..] {
-            let slot = req.pipeline.slot(s).expect("slot live");
-            match slot.role {
-                SlotRole::Callee { caller, .. } if block.contains(&caller) => {
-                    block.insert(s);
-                    last = s;
-                }
+        // The block is contiguous: it grows while the next slot is a
+        // callee of a slot already in it.
+        let mut end = start;
+        for (i, &s) in order.iter().enumerate().skip(start + 1) {
+            match req.pipeline.slot(s).expect("slot live").role {
+                SlotRole::Callee { caller, .. } if order[start..i].contains(&caller) => end = i,
                 _ => break,
             }
         }
-        last
+        order[end]
     }
 
     /// Creates program-order successors for every unextended entry slot
@@ -96,20 +92,15 @@ impl SpecCore {
     /// if extension made progress (successor created or slot marked
     /// terminally extended).
     pub(super) fn extend_one(&mut self, req_id: RequestId, slot_id: SlotId, entry: usize) -> bool {
-        let kind = self.seqtable.kind_at(entry).clone();
         let req = self.requests.get(&req_id).expect("live request");
         let slot = req.pipeline.slot(slot_id).expect("live slot");
         let completed = slot.state == SlotState::Completed;
-        let slot_input = slot.input.clone();
-        let slot_output = slot.output.clone();
         let slot_path = slot.path;
         let slot_func = slot.func;
-        let slot_input_spec = slot.input_speculative;
-        let slot_pred_out = slot.predicted_output.clone();
 
-        let (next_entry, payload, payload_spec, predicted_dir) = match kind {
+        let (next_entry, payload, payload_spec) = match self.seqtable.kind_at(entry) {
             EntryKind::Simple { next } => {
-                let Some(n) = next else {
+                let Some(n) = *next else {
                     self.mark_extended(req_id, slot_id);
                     return true;
                 };
@@ -119,10 +110,10 @@ impl SpecCore {
                     return true;
                 }
                 if completed {
-                    (n, slot_output.expect("completed has output"), false, None)
+                    (n, slot.output.clone().expect("completed has output"), false)
                 } else if self.config.memoization {
-                    match slot_pred_out {
-                        Some(p) => (n, p, true, None),
+                    match &slot.predicted_output {
+                        Some(p) => (n, p.clone(), true),
                         None => return false, // stuck until completion
                     }
                 } else {
@@ -130,19 +121,21 @@ impl SpecCore {
                 }
             }
             EntryKind::Branch {
-                ref field,
+                field,
                 taken,
                 not_taken,
             } => {
+                let (taken, not_taken) = (*taken, *not_taken);
                 let outcome = if completed {
                     Some(Self::branch_outcome(
-                        slot_output.as_ref().expect("completed"),
+                        slot.output.as_ref().expect("completed"),
                         field.as_deref(),
                     ))
                 } else if !self.config.branch_prediction {
                     None
                 } else {
-                    self.predict_branch(entry, slot_path, slot_func, slot_input.as_ref())
+                    let input = slot.input.clone();
+                    self.predict_branch(entry, slot_path, slot_func, input.as_ref())
                 };
                 let Some(dir) = outcome else { return false };
                 let target = if dir { taken } else { not_taken };
@@ -177,13 +170,9 @@ impl SpecCore {
                     return true;
                 }
                 // Branch functions route, passing their input through.
-                let payload = slot_input.clone().expect("slot has input");
-                (
-                    n,
-                    payload,
-                    slot_input_spec || !completed,
-                    (!completed).then_some(dir),
-                )
+                let slot = self.requests[&req_id].pipeline.slot(slot_id).expect("live");
+                let payload = slot.input.clone().expect("slot has input");
+                (n, payload, slot.input_speculative || !completed)
             }
             EntryKind::Fork { .. } => {
                 // Conservative: parallel fan-out happens at commit.
@@ -191,7 +180,6 @@ impl SpecCore {
                 return true;
             }
         };
-        let _ = predicted_dir;
 
         // Create the successor slot after this slot's descendant block.
         let req = self.requests.get_mut(&req_id).expect("live request");
@@ -311,11 +299,9 @@ impl SpecCore {
         input: &Value,
     ) -> Option<bool> {
         let program: Program = self.app.registry.spec(func).program.clone();
+        // The functional interpreter reads only from the map it is given,
+        // so it runs against a copy of the (small) committed store.
         let mut scratch: FxHashMap<String, Value> = FxHashMap::default();
-        // Seed reads lazily by pre-copying every key the store holds is
-        // wasteful; instead run with an empty scratch and fall back to
-        // committed values by pre-populating on demand is not possible
-        // through the closure API, so copy the (small) store.
         for (k, v) in self.rt.kv.iter() {
             scratch.insert(k.to_owned(), v.clone());
         }
@@ -329,10 +315,10 @@ impl SpecCore {
         )
         .ok()?;
         let field = match self.seqtable.kind_at(entry) {
-            EntryKind::Branch { field, .. } => field.clone(),
+            EntryKind::Branch { field, .. } => field.as_deref(),
             _ => None,
         };
-        Some(Self::branch_outcome(&out, field.as_deref()))
+        Some(Self::branch_outcome(&out, field))
     }
 
     /// Launches every launchable slot.
@@ -512,41 +498,36 @@ impl SpecCore {
             return;
         }
         let depth = self.config.effective_depth(self.rt.cluster.occupancy());
-        let (caller_func, caller_input, caller_path) = {
-            let req = self.requests.get(&req_id).expect("live");
-            let slot = req.pipeline.slot(caller_slot).expect("live");
-            (slot.func, slot.input.clone(), slot.path)
-        };
-        let Some(input) = caller_input else { return };
+        let req = self.requests.get_mut(&req_id).expect("live");
+        let slot = req.pipeline.slot(caller_slot).expect("live");
+        let (caller_func, caller_path) = (slot.func, slot.path);
+        let Some(input) = &slot.input else { return };
         if !self.seqtable.knows_caller(caller_func) {
             return;
         }
-        let Some(row) = self.memos.table(caller_func.0).peek(&input) else {
+        let Some(row) = self.memos.table(caller_func.0).peek(input) else {
             return;
         };
-        let callee_inputs = row.callee_inputs.clone();
-        let edges: Vec<(usize, FuncId, f64)> = self
-            .seqtable
-            .callees_of(caller_func)
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i, e.callee, self.seqtable.call_probability(caller_func, i)))
-            .collect();
 
+        let path = caller_path.extend(caller_func.0);
+        let first = req
+            .call_state
+            .get(&caller_slot)
+            .map_or(0, |cs| cs.prefetched.len());
         let mut anchor = caller_slot;
-        let mut created = Vec::new();
-        for (site, callee, prob) in edges {
+        let mut created = 0;
+        for (site, edge) in self.seqtable.callees_of(caller_func).iter().enumerate() {
+            let prob = self.seqtable.call_probability(caller_func, site);
             if prob < 0.5 + self.config.branch_confidence_window {
                 break; // stop prefetching at the first unlikely call
             }
-            let Some(args) = callee_inputs.get(site).cloned() else {
+            let Some(args) = row.callee_inputs.get(site) else {
                 break;
             };
-            let req = self.requests.get_mut(&req_id).expect("live");
             if req.pipeline.len() >= depth {
                 break;
             }
-            let path = caller_path.extend(caller_func.0);
+            let callee = edge.callee;
             let id = req.pipeline.insert_after(
                 anchor,
                 callee,
@@ -558,7 +539,7 @@ impl SpecCore {
             );
             {
                 let s = req.pipeline.slot_mut(id).expect("fresh");
-                s.input = Some(args);
+                s.input = Some(args.clone());
                 s.input_speculative = true;
                 s.non_speculative = self.app.registry.spec(callee).annotations.non_speculative;
             }
@@ -568,16 +549,24 @@ impl SpecCore {
                 .prefetched
                 .push(id);
             anchor = Self::block_end(req, id);
-            created.push(id);
+            created += 1;
         }
-        for id in created {
-            // Launch unless annotation defers it.
-            let launchable = {
-                let req = self.requests.get(&req_id).expect("live");
-                let slot = req.pipeline.slot(id).expect("live");
+        // Launch the new prefetches in call order, unless an annotation
+        // defers them. Launching appends to other slots' prefetch lists
+        // only, so positions in the caller's list stay put.
+        for k in first..first + created {
+            let req = self.requests.get(&req_id).expect("live");
+            let Some(&id) = req
+                .call_state
+                .get(&caller_slot)
+                .and_then(|cs| cs.prefetched.get(k))
+            else {
+                break;
+            };
+            let launchable = req.pipeline.slot(id).is_some_and(|slot| {
                 slot.state == SlotState::Created
                     && (!slot.non_speculative || req.pipeline.is_head(id))
-            };
+            });
             if launchable {
                 self.launch_slot(req_id, id); // recursively prefetches
             }

@@ -1,13 +1,9 @@
 //! Instance event handling: launch, cold start, interpreter resume,
-//! KV effects with fault retries, calls and HTTP gating (Â§V-C).
+//! KV effects with fault retries, calls and HTTP gating (§V-C).
 use super::*;
 
 impl SpecCore {
     pub(super) fn on_launch(&mut self, id: InstanceId) {
-        if self.orphans.contains(&id) {
-            // Lazily squashed before launch resolved — treat as normal
-            // container acquisition so resources balance.
-        }
         let Some(meta) = self.meta.get_mut(&id) else {
             return; // killed before launch
         };
@@ -185,12 +181,11 @@ impl SpecCore {
                 return;
             }
         }
-        let mut inst = self.instances.remove(&id).expect("live");
+        let inst = self.instances.get_mut(&id).expect("live");
         let effect = match inst.step(resume) {
             Ok(e) => e,
             Err(err) => {
                 let out = Value::map([("error", Value::str(err.to_string()))]);
-                self.instances.insert(id, inst);
                 self.complete_slot(req_id, slot_id, id, out);
                 return;
             }
@@ -198,19 +193,11 @@ impl SpecCore {
         match effect {
             Effect::Compute(d) => {
                 inst.breakdown.execution += d;
-                self.instances.insert(id, inst);
                 self.rt.sim.schedule_in(d, Ev::Resume(id, None));
             }
-            Effect::Get { key } => {
-                self.instances.insert(id, inst);
-                self.handle_get(req_id, slot_id, id, key, 1);
-            }
-            Effect::Set { key, value } => {
-                self.instances.insert(id, inst);
-                self.handle_set(req_id, slot_id, id, key, value, 1);
-            }
+            Effect::Get { key } => self.handle_get(req_id, slot_id, id, key, 1),
+            Effect::Set { key, value } => self.handle_set(req_id, slot_id, id, key, value, 1),
             Effect::Http { .. } => {
-                self.instances.insert(id, inst);
                 let req = self.requests.get(&req_id).expect("live");
                 if Self::effectively_head(req, slot_id) {
                     self.rt
@@ -226,22 +213,14 @@ impl SpecCore {
             }
             Effect::FileWrite { name, data } => {
                 inst.files.insert(name, data);
-                self.instances.insert(id, inst);
                 self.rt.sim.schedule_now(Ev::Resume(id, None));
             }
             Effect::FileRead { name } => {
                 let v = inst.files.get(&name).cloned().unwrap_or(Value::Null);
-                self.instances.insert(id, inst);
                 self.rt.sim.schedule_now(Ev::Resume(id, Some(v)));
             }
-            Effect::Call { func, args } => {
-                self.instances.insert(id, inst);
-                self.handle_call(req_id, slot_id, id, &func, args);
-            }
-            Effect::Done(out) => {
-                self.instances.insert(id, inst);
-                self.complete_slot(req_id, slot_id, id, out);
-            }
+            Effect::Call { func, args } => self.handle_call(req_id, slot_id, id, &func, args),
+            Effect::Done(out) => self.complete_slot(req_id, slot_id, id, out),
         }
     }
 
@@ -691,30 +670,25 @@ impl SpecCore {
         req.extended.remove(&callee_slot);
         req.waiting_callers.remove(&callee_slot);
         req.waiting_args.remove(&caller_slot);
-        let output = callee.output.clone().expect("completed callee");
+        let input = callee.input.expect("callee input");
+        let output = callee.output.expect("completed callee");
         req.committed_sequence.push(callee.func.0);
         // The caller's memo row records its *direct* calls only.
         if let Some(caller) = req.pipeline.slot_mut(caller_slot) {
-            caller.learned_calls.push((
-                callee.func,
-                callee.input.clone().expect("callee input"),
-                output.clone(),
-            ));
+            caller.learned_calls.push((callee.func, input.clone()));
         }
-        // Bubble the callee's own observation (with its direct callee
-        // list) to the owning entry slot for commit-time promotion.
+        // Hand the callee's own observation (with its direct callee list)
+        // to the owning entry slot for commit-time promotion.
         if let Some(entry) = Self::entry_ancestor(req, caller_slot) {
-            req.call_records.entry(entry).or_default().push(CallRecord {
-                func: callee.func,
-                input: callee.input.clone().expect("callee input"),
-                output: output.clone(),
-                callee_funcs: callee.learned_calls.iter().map(|(f, _, _)| *f).collect(),
-                callee_inputs: callee
-                    .learned_calls
-                    .iter()
-                    .map(|(_, i, _)| i.clone())
-                    .collect(),
-            });
+            req.call_records.push((
+                entry,
+                Observed {
+                    func: callee.func,
+                    input,
+                    output: output.clone(),
+                    calls: callee.learned_calls,
+                },
+            ));
         }
         req.call_state.remove(&callee_slot);
         // Move callee CPU accounting into the caller's bucket.

@@ -103,38 +103,18 @@ struct StalledRead {
     producer: SlotId,
 }
 
-/// A committed-knowledge record, applied to the persistent tables only
+/// One committed function execution: its memoization row and its direct
+/// call structure. A consumed callee or a committed slot hands its
+/// documents over by move; the record reaches the persistent tables only
 /// when the whole invocation completes (so speculative data never leaks
 /// into them, §V-E).
 #[derive(Debug)]
-enum Learned {
-    Memo {
-        func: FuncId,
-        input: Value,
-        output: Value,
-        callee_inputs: Vec<Value>,
-    },
-    Branch {
-        entry: usize,
-        path: PathHistory,
-        taken: bool,
-    },
-    Calls {
-        caller: FuncId,
-        callees: Vec<FuncId>,
-    },
-}
-
-/// A committed call observation bubbled up from a consumed callee:
-/// its own input/output plus its *direct* callee list, promoted to the
-/// persistent tables when the owning top-level entry slot commits.
-#[derive(Debug)]
-struct CallRecord {
+struct Observed {
     func: FuncId,
     input: Value,
     output: Value,
-    callee_funcs: Vec<FuncId>,
-    callee_inputs: Vec<Value>,
+    /// Direct callees in call order, with the input passed to each.
+    calls: Vec<(FuncId, Value)>,
 }
 
 #[derive(Debug)]
@@ -160,15 +140,19 @@ struct Req {
     slot_cpu: FxHashMap<SlotId, SimDuration>,
     /// Fork-join contributions: join entry → (payloads by pipeline pos).
     fork_joins: FxHashMap<usize, Vec<Value>>,
-    /// Call observations per top-level entry slot, promoted at commit.
-    call_records: FxHashMap<SlotId, Vec<CallRecord>>,
+    /// Consumed-callee observations, tagged with the top-level entry slot
+    /// they work for and moved to `observed` when that slot commits.
+    call_records: Vec<(SlotId, Observed)>,
     /// Commit currently being processed.
     committing: Option<SlotId>,
     /// Failed attempts per slot (fault-injection retry accounting).
     attempts: FxHashMap<SlotId, u32>,
     /// Slots whose relaunch is held until their retry backoff elapses.
     retry_hold: FxHashSet<SlotId>,
-    learned: Vec<Learned>,
+    /// Committed executions, in commit order.
+    observed: Vec<Observed>,
+    /// Resolved branches `(entry, path, taken)`, in commit order.
+    branches: Vec<(usize, PathHistory, bool)>,
     committed_sequence: Vec<u32>,
     functions_run: u32,
     functions_squashed: u32,
@@ -498,11 +482,12 @@ impl SpecCore {
             extended: FxHashSet::default(),
             slot_cpu: FxHashMap::default(),
             fork_joins: FxHashMap::default(),
-            call_records: FxHashMap::default(),
+            call_records: Vec::new(),
             committing: None,
             attempts: FxHashMap::default(),
             retry_hold: FxHashSet::default(),
-            learned: Vec::new(),
+            observed: Vec::new(),
+            branches: Vec::new(),
             committed_sequence: Vec::new(),
             functions_run: 0,
             functions_squashed: 0,

@@ -1,4 +1,4 @@
-//! Squashing (Â§VI, "Minimizing Squash Cost"), instance teardown,
+//! Squashing (§VI, "Minimizing Squash Cost"), instance teardown,
 //! slot-fault retries, watchdog timeouts and request aborts.
 use super::*;
 
@@ -12,8 +12,7 @@ impl SpecCore {
         let Some(pos) = req.pipeline.position(first) else {
             return;
         };
-        let order: Vec<SlotId> = req.pipeline.iter_order().collect();
-        let victims: Vec<SlotId> = order[pos..].to_vec();
+        let victims: Vec<SlotId> = req.pipeline.order()[pos..].to_vec();
 
         let cause = match kind {
             SquashKind::WrongPath => SquashCause::WrongPath,
@@ -78,8 +77,7 @@ impl SpecCore {
             // mark so the successor is recreated. Re-extending a
             // terminally-extended slot just re-marks it, so this is safe
             // even when nothing was lost.
-            let order: Vec<SlotId> = req.pipeline.iter_order().collect();
-            if let Some(&last_entry) = order.iter().rev().find(|s| {
+            if let Some(&last_entry) = req.pipeline.order().iter().rev().find(|s| {
                 matches!(
                     req.pipeline.slot(**s).expect("live").role,
                     SlotRole::Entry { .. }
@@ -108,7 +106,7 @@ impl SpecCore {
         req.extended.remove(&slot_id);
         req.deferred_http.remove(&slot_id);
         req.call_state.remove(&slot_id);
-        req.call_records.remove(&slot_id);
+        req.call_records.retain(|(entry, _)| *entry != slot_id);
         let wasted = req.slot_cpu.remove(&slot_id);
         let inst = req.slot_inst.remove(&slot_id);
         // CPU spent on a now-squashed execution is wasted work.
@@ -312,19 +310,17 @@ impl SpecCore {
     /// committed global state, writes are dropped, calls resolve to Null.
     pub(super) fn orphan_step(&mut self, id: InstanceId, resume: Option<Value>) {
         let now = self.rt.sim.now();
-        let mut inst = self.instances.remove(&id).expect("orphan live");
+        let inst = self.instances.get_mut(&id).expect("orphan live");
         let effect = match inst.step(resume) {
             Ok(e) => e,
             Err(_) => Effect::Done(Value::Null),
         };
         match effect {
             Effect::Compute(d) => {
-                self.instances.insert(id, inst);
                 self.rt.sim.schedule_in(d, Ev::Resume(id, None));
             }
             Effect::Get { key } => {
                 let v = self.rt.kv.get(&key).cloned().unwrap_or(Value::Null);
-                self.instances.insert(id, inst);
                 self.rt.registry.inc("specfaas_kv_reads_total");
                 if self.rt.registry.enabled() {
                     self.rt
@@ -338,7 +334,6 @@ impl SpecCore {
             Effect::Set { .. } => {
                 // Dropped: squashed state never propagates — but the
                 // handler still waits out the write latency.
-                self.instances.insert(id, inst);
                 self.rt.registry.inc("specfaas_kv_writes_total");
                 if self.rt.registry.enabled() {
                     self.rt
@@ -351,27 +346,24 @@ impl SpecCore {
             }
             Effect::Http { .. } => {
                 // Never performed for squashed functions.
-                self.instances.insert(id, inst);
                 self.rt.sim.schedule_now(Ev::Resume(id, None));
             }
             Effect::FileWrite { name, data } => {
                 inst.files.insert(name, data);
-                self.instances.insert(id, inst);
                 self.rt.sim.schedule_now(Ev::Resume(id, None));
             }
             Effect::FileRead { name } => {
                 let v = inst.files.get(&name).cloned().unwrap_or(Value::Null);
-                self.instances.insert(id, inst);
                 self.rt.sim.schedule_now(Ev::Resume(id, Some(v)));
             }
             Effect::Call { .. } => {
-                self.instances.insert(id, inst);
                 self.rt.sim.schedule_in(
                     self.rt.model.transfer_fixed,
                     Ev::Resume(id, Some(Value::Null)),
                 );
             }
             Effect::Done(_) => {
+                let inst = self.instances.remove(&id).expect("orphan live");
                 self.orphans.remove(&id);
                 // Everything this orphan ever ran was wasted: its final
                 // stint plus any stints accumulated while it was blocked

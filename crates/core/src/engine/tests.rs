@@ -786,3 +786,55 @@ fn wide_join_final_state_matches_baseline() {
         assert_eq!(sb, ss);
     }
 }
+
+/// Pins the promotion rule: one request commits two rows of the same
+/// function plus a repeat of the first input. The repeat updates the
+/// first row in place, non-empty callee inputs win over empty ones, and
+/// rows take their LRU recency from their first commit.
+#[test]
+fn promotion_coalesces_repeats_in_first_commit_order() {
+    let mut cfg = SpecConfig::full();
+    cfg.memo_capacity = 2;
+    let mut core = SpecCore::new(Arc::new(chain_app(2, 1)), cfg, 1);
+    let (f, g) = (FuncId(0), FuncId(1));
+    let doc = |k: &str, v: i64| Value::map([(k, Value::Int(v))]);
+    let observed = |input: Value, output: Value, calls: Vec<(FuncId, Value)>| Observed {
+        func: f,
+        input,
+        output,
+        calls,
+    };
+    core.promote(vec![
+        observed(doc("in", 1), doc("out", 10), vec![]),
+        observed(doc("in", 2), doc("out", 20), vec![]),
+        observed(doc("in", 1), doc("out", 11), vec![(g, doc("arg", 5))]),
+        observed(doc("in", 1), doc("out", 12), vec![]),
+    ]);
+
+    let table = core.memos.table(f.0);
+    assert_eq!(table.len(), 2);
+    let first = table.peek(&doc("in", 1)).expect("repeated row");
+    assert_eq!(first.output, doc("out", 12), "latest output wins");
+    assert_eq!(
+        first.callee_inputs,
+        vec![doc("arg", 5)],
+        "non-empty callee inputs win over the later empty ones"
+    );
+    // Every commit counts towards the call structure: one of four
+    // invocations called g.
+    assert_eq!(core.seqtable.callees_of(f)[0].callee, g);
+    assert_eq!(core.seqtable.call_probability(f, 0), 0.25);
+
+    // At capacity the victim is the row committed first, even though its
+    // repeat was the request's last commit.
+    core.memos
+        .table_mut(f.0)
+        .insert(doc("in", 3), doc("out", 30), vec![]);
+    let table = core.memos.table(f.0);
+    assert!(
+        table.peek(&doc("in", 1)).is_none(),
+        "first-committed row evicted"
+    );
+    assert!(table.peek(&doc("in", 2)).is_some());
+    assert!(table.peek(&doc("in", 3)).is_some());
+}

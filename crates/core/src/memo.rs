@@ -13,6 +13,8 @@
 //! reaches a 96 % average hit rate on TrainTicket, and that the combined
 //! tables of an application occupy only 1.5–30 KB.
 
+use std::collections::hash_map::Entry;
+
 use specfaas_sim::hash::FxHashMap;
 
 use specfaas_sim::stats::HitRate;
@@ -28,6 +30,28 @@ pub struct MemoEntry {
     /// leaf functions and explicit workflows).
     pub callee_inputs: Vec<Value>,
     lru_tick: u64,
+}
+
+impl MemoEntry {
+    fn new(output: Value, callee_inputs: impl IntoIterator<Item = Value>, tick: u64) -> Self {
+        MemoEntry {
+            output,
+            callee_inputs: callee_inputs.into_iter().collect(),
+            lru_tick: tick,
+        }
+    }
+
+    fn replace(
+        &mut self,
+        output: Value,
+        callee_inputs: impl IntoIterator<Item = Value>,
+        tick: u64,
+    ) {
+        self.output = output;
+        self.callee_inputs.clear();
+        self.callee_inputs.extend(callee_inputs);
+        self.lru_tick = tick;
+    }
 }
 
 /// The memoization table of one function.
@@ -92,27 +116,44 @@ impl MemoTable {
 
     /// Inserts or replaces the row for `input`. Only ever called at
     /// commit time with validated, non-speculative values (§V-E).
-    pub fn insert(&mut self, input: Value, output: Value, callee_inputs: Vec<Value>) {
+    ///
+    /// One probe finds the row: below capacity through the entry API, at
+    /// capacity through `get_mut`, evicting the least recently used row
+    /// only when the input is new. A replaced row keeps its callee-input
+    /// buffer and refills it in place.
+    pub fn insert(
+        &mut self,
+        input: Value,
+        output: Value,
+        callee_inputs: impl IntoIterator<Item = Value>,
+    ) {
         self.tick += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&input) {
-            // Evict the least recently used row.
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.lru_tick)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
+        let tick = self.tick;
+        if self.entries.len() < self.capacity {
+            match self.entries.entry(input) {
+                Entry::Occupied(row) => row.into_mut().replace(output, callee_inputs, tick),
+                Entry::Vacant(slot) => {
+                    slot.insert(MemoEntry::new(output, callee_inputs, tick));
+                }
             }
+            return;
         }
-        self.entries.insert(
-            input,
-            MemoEntry {
-                output,
-                callee_inputs,
-                lru_tick: self.tick,
-            },
-        );
+        if let Some(row) = self.entries.get_mut(&input) {
+            row.replace(output, callee_inputs, tick);
+            return;
+        }
+        // Evict the least recently used row (ticks are unique, so the
+        // victim does not depend on the map's iteration order).
+        if let Some(victim) = self
+            .entries
+            .iter()
+            .min_by_key(|(_, e)| e.lru_tick)
+            .map(|(k, _)| k.clone())
+        {
+            self.entries.remove(&victim);
+        }
+        self.entries
+            .insert(input, MemoEntry::new(output, callee_inputs, tick));
     }
 
     /// Number of rows.

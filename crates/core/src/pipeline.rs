@@ -90,9 +90,9 @@ pub struct Slot {
     pub path: PathHistory,
     /// Loop-iteration disambiguator for back-edge entries.
     pub iteration: u32,
-    /// Learned callee records (input/output pairs observed at call
-    /// returns), bubbled up for commit-time table updates.
-    pub learned_calls: Vec<(FuncId, Value, Value)>,
+    /// Direct callees consumed so far, in call order, with the input
+    /// passed to each; handed to the commit-time table updates.
+    pub learned_calls: Vec<(FuncId, Value)>,
     /// True for slots whose function carries the `non-speculative`
     /// annotation.
     pub non_speculative: bool,
@@ -218,6 +218,11 @@ impl Pipeline {
     /// Total slots ever created for this invocation (squash bookkeeping).
     pub fn total_created(&self) -> u64 {
         self.total_created
+    }
+
+    /// Program order, oldest first, as a slice.
+    pub fn order(&self) -> &[SlotId] {
+        &self.order
     }
 
     /// Program order, oldest first.

@@ -81,24 +81,24 @@ impl SequenceTable {
     /// Records the committed call sequence of one invocation of `caller`
     /// (Fig. 10(b) is built up this way). Only non-speculative,
     /// committed executions update the table (§V-E).
-    pub fn learn_calls(&mut self, caller: FuncId, callees: &[FuncId]) {
+    pub fn learn_calls(&mut self, caller: FuncId, callees: impl IntoIterator<Item = FuncId>) {
         *self.caller_commits.entry(caller).or_insert(0) += 1;
         let edges = self.calls.entry(caller).or_default();
-        for (site, callee) in callees.iter().enumerate() {
+        for (site, callee) in callees.into_iter().enumerate() {
             match edges.get_mut(site) {
-                Some(edge) if edge.callee == *callee => edge.observations += 1,
+                Some(edge) if edge.callee == callee => edge.observations += 1,
                 Some(edge) => {
                     // Call structure diverged at this site: reset the edge
                     // to the newly observed callee (counts restart).
                     *edge = CallEdge {
-                        callee: *callee,
+                        callee,
                         observations: 1,
                     };
                     // Later sites are no longer trustworthy.
                     edges.truncate(site + 1);
                 }
                 None => edges.push(CallEdge {
-                    callee: *callee,
+                    callee,
                     observations: 1,
                 }),
             }
@@ -163,8 +163,8 @@ mod tests {
         let mut t = table();
         let f = FuncId(0);
         assert!(!t.knows_caller(f));
-        t.learn_calls(f, &[FuncId(1), FuncId(2)]);
-        t.learn_calls(f, &[FuncId(1), FuncId(2)]);
+        t.learn_calls(f, [FuncId(1), FuncId(2)]);
+        t.learn_calls(f, [FuncId(1), FuncId(2)]);
         assert!(t.knows_caller(f));
         assert_eq!(t.callees_of(f).len(), 2);
         assert_eq!(t.call_probability(f, 0), 1.0);
@@ -176,8 +176,8 @@ mod tests {
     fn conditional_call_probability() {
         let mut t = table();
         let f = FuncId(0);
-        t.learn_calls(f, &[FuncId(1), FuncId(2)]);
-        t.learn_calls(f, &[FuncId(1)]); // second call skipped this time
+        t.learn_calls(f, [FuncId(1), FuncId(2)]);
+        t.learn_calls(f, [FuncId(1)]); // second call skipped this time
         assert_eq!(t.call_probability(f, 0), 1.0);
         assert_eq!(t.call_probability(f, 1), 0.5);
     }
@@ -186,8 +186,8 @@ mod tests {
     fn diverged_call_site_resets() {
         let mut t = table();
         let f = FuncId(0);
-        t.learn_calls(f, &[FuncId(1), FuncId(2)]);
-        t.learn_calls(f, &[FuncId(2)]); // different callee at site 0
+        t.learn_calls(f, [FuncId(1), FuncId(2)]);
+        t.learn_calls(f, [FuncId(2)]); // different callee at site 0
         assert_eq!(t.callees_of(f).len(), 1);
         assert_eq!(t.callees_of(f)[0].callee, FuncId(2));
         assert_eq!(t.callees_of(f)[0].observations, 1);

@@ -677,9 +677,8 @@ impl BaselineCore {
                 return;
             }
         }
-        let mut inst = match self.instances.remove(&id) {
-            Some(i) => i,
-            None => return, // squashed / stale event
+        let Some(inst) = self.instances.get_mut(&id) else {
+            return; // squashed / stale event
         };
         let effect = match inst.step(resume) {
             Ok(e) => e,
@@ -687,7 +686,6 @@ impl BaselineCore {
                 // A failed invocation: treat as completing with an error
                 // document so the workflow can proceed deterministically.
                 let out = Value::map([("error", Value::str(err.to_string()))]);
-                self.instances.insert(id, inst);
                 self.finish_instance(id, out);
                 return;
             }
@@ -695,40 +693,27 @@ impl BaselineCore {
         match effect {
             Effect::Compute(d) => {
                 inst.breakdown.execution += d;
-                self.instances.insert(id, inst);
                 self.rt.sim.schedule_in(d, Ev::Resume(id, None));
             }
-            Effect::Get { key } => {
-                self.instances.insert(id, inst);
-                self.kv_access(id, KvOp::Get { key }, 1);
-            }
-            Effect::Set { key, value } => {
-                self.instances.insert(id, inst);
-                self.kv_access(id, KvOp::Set { key, value }, 1);
-            }
+            Effect::Get { key } => self.kv_access(id, KvOp::Get { key }, 1),
+            Effect::Set { key, value } => self.kv_access(id, KvOp::Set { key, value }, 1),
             Effect::Http { .. } => {
                 let lat = self.rt.model.http_latency;
                 inst.breakdown.execution += lat;
-                self.instances.insert(id, inst);
                 self.rt.sim.schedule_in(lat, Ev::Resume(id, None));
             }
             Effect::FileWrite { name, data } => {
                 inst.files.insert(name, data);
-                self.instances.insert(id, inst);
                 self.rt.sim.schedule_now(Ev::Resume(id, None));
             }
             Effect::FileRead { name } => {
                 let v = inst.files.get(&name).cloned().unwrap_or(Value::Null);
-                self.instances.insert(id, inst);
                 self.rt.sim.schedule_now(Ev::Resume(id, Some(v)));
             }
             Effect::Call { func, args } => {
                 // Implicit workflow: spawn the callee; the caller blocks
                 // holding its core (Fig. 10(d)).
-                let req = match self.ctxs[&id].clone() {
-                    InstCtx::Entry { req, .. } | InstCtx::Callee { req, .. } => req,
-                };
-                self.instances.insert(id, inst);
+                let (InstCtx::Entry { req, .. } | InstCtx::Callee { req, .. }) = self.ctxs[&id];
                 // The caller's handler blocks on the RPC; the OS yields
                 // its hardware thread (the container slot stays held).
                 self.block_instance(id);
@@ -748,7 +733,6 @@ impl BaselineCore {
             Effect::Done(out) => {
                 inst.state = InstanceState::Done;
                 inst.output = Some(out.clone());
-                self.instances.insert(id, inst);
                 self.finish_instance(id, out);
             }
         }

@@ -62,9 +62,11 @@ impl PartialEq for Value {
             (Value::Int(a), Value::Int(b)) => a == b,
             // Same rule as `Hash`, so `Eq` is reflexive even for NaN.
             (Value::Float(a), Value::Float(b)) => canonical_bits(*a) == canonical_bits(*b),
-            (Value::Str(a), Value::Str(b)) => a == b,
-            (Value::List(a), Value::List(b)) => a == b,
-            (Value::Map(a), Value::Map(b)) => a == b,
+            // A shared document equals itself: exact, because equality
+            // is reflexive (NaN included), and it skips the deep compare.
+            (Value::Str(a), Value::Str(b)) => Arc::ptr_eq(a, b) || a == b,
+            (Value::List(a), Value::List(b)) => Arc::ptr_eq(a, b) || a == b,
+            (Value::Map(a), Value::Map(b)) => Arc::ptr_eq(a, b) || a == b,
             _ => false,
         }
     }
