@@ -7,7 +7,9 @@
 //! * no invariant trips (commit order, leaked slots, core-time
 //!   conservation, memo capacity),
 //! * the Chrome-trace export parses,
-//! * two same-seed runs produce byte-identical traces, and
+//! * two same-seed runs produce byte-identical traces,
+//! * the Chrome-trace export of two fixed runs per engine matches a
+//!   pinned digest, and
 //! * installing a disabled tracer leaves run metrics bit-identical.
 
 use specfaas_bench::runner::{prepared_baseline, prepared_spec, traced_closed};
@@ -124,4 +126,45 @@ fn disabled_tracer_leaves_metrics_bit_identical() {
     assert_eq!(plain.useful_core_time, traced.useful_core_time);
     assert_eq!(plain.squashed_core_time, traced.squashed_core_time);
     assert_eq!(plain.latency.mean_ms(), traced.latency.mean_ms());
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins the exported Chrome trace of HotelBooking and TcktApp on both
+/// engines under faults. The digests were taken before the engines'
+/// instrumentation moved behind `Runtime::record`; any change to event
+/// order, payload or export format moves them.
+#[test]
+fn chrome_trace_digests_are_pinned() {
+    let pinned: [(&str, &str, u64); 4] = [
+        ("HotelBooking", "spec", 0x7046_e96a_52af_a5aa),
+        ("HotelBooking", "baseline", 0xd51a_73d2_a120_3225),
+        ("TcktApp", "spec", 0xacf6_3838_a23f_d8f0),
+        ("TcktApp", "baseline", 0x70d8_a4fb_5486_956e),
+    ];
+    let mut got = Vec::new();
+    for (app, engine, _) in pinned {
+        let bundle = match app {
+            "HotelBooking" => specfaas_apps::faaschain::hotel_booking(),
+            _ => specfaas_apps::trainticket::ticket_app(),
+        };
+        let gen = bundle.make_input.clone();
+        let (tracer, _) = match engine {
+            "spec" => traced_spec_run(&bundle),
+            _ => traced_closed(
+                &mut prepared_baseline(&bundle, SEED),
+                plan(),
+                policy(),
+                REQUESTS,
+                move |r| gen(r),
+            ),
+        };
+        got.push((app, engine, fnv1a64(tracer.export_chrome_json().as_bytes())));
+    }
+    assert_eq!(got, pinned, "Chrome trace digests moved");
 }
