@@ -212,9 +212,9 @@ mod tests {
 
     #[test]
     fn apps_run_on_baseline() {
-        use specfaas_platform::BaselineEngine;
+        use specfaas_platform::{BaselineCore, BaselineEngine};
         for bundle in apps() {
-            let mut e = BaselineEngine::new(bundle.app.clone(), 21);
+            let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 21));
             e.prewarm();
             let mut rng = SimRng::seed(6);
             (bundle.seed)(&mut e.kv, &mut rng);
@@ -230,9 +230,9 @@ mod tests {
     #[test]
     fn dominant_path_share_matches_observation2() {
         // ~90% of invocations follow the most popular function sequence.
-        use specfaas_platform::BaselineEngine;
+        use specfaas_platform::{BaselineCore, BaselineEngine};
         let bundle = &apps()[0];
-        let mut e = BaselineEngine::new(bundle.app.clone(), 23);
+        let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 23));
         e.prewarm();
         let mut rng = SimRng::seed(7);
         (bundle.seed)(&mut e.kv, &mut rng);

@@ -7,7 +7,7 @@
 //! actually running each app once, warm, on the baseline engine).
 
 use serde::{Deserialize, Serialize};
-use specfaas_platform::BaselineEngine;
+use specfaas_platform::{BaselineCore, BaselineEngine};
 use specfaas_sim::SimRng;
 use specfaas_workflow::analysis::SideEffects;
 use specfaas_workflow::Stmt;
@@ -87,7 +87,7 @@ pub fn characterize_suite(suite: &Suite, seed: u64) -> SuiteCharacterization {
         data_deps += payload_deps(&bundle.app) + storage_deps(&bundle.app);
 
         // Warm single-request timing on the baseline.
-        let mut engine = BaselineEngine::new(bundle.app.clone(), seed);
+        let mut engine = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), seed));
         engine.prewarm();
         let mut rng = SimRng::seed(seed ^ 0x5eed);
         (bundle.seed)(&mut engine.kv, &mut rng);

@@ -538,9 +538,9 @@ mod tests {
 
     #[test]
     fn all_apps_run_on_baseline() {
-        use specfaas_platform::BaselineEngine;
+        use specfaas_platform::{BaselineCore, BaselineEngine};
         for bundle in apps() {
-            let mut e = BaselineEngine::new(bundle.app.clone(), 7);
+            let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 7));
             e.prewarm();
             let mut rng = SimRng::seed(1);
             (bundle.seed)(&mut e.kv, &mut rng);
@@ -558,9 +558,9 @@ mod tests {
 
     #[test]
     fn all_apps_run_on_specfaas_without_error_outputs() {
-        use specfaas_core::{SpecConfig, SpecEngine};
+        use specfaas_core::{SpecConfig, SpecCore, SpecEngine};
         for bundle in apps() {
-            let mut e = SpecEngine::new(bundle.app.clone(), SpecConfig::full(), 7);
+            let mut e = SpecEngine::new(SpecCore::new(bundle.app.clone(), SpecConfig::full(), 7));
             e.prewarm();
             let mut rng = SimRng::seed(1);
             (bundle.seed)(&mut e.kv, &mut rng);
@@ -578,9 +578,9 @@ mod tests {
 
     #[test]
     fn finra_verdicts_are_biased_but_not_constant() {
-        use specfaas_platform::BaselineEngine;
+        use specfaas_platform::{BaselineCore, BaselineEngine};
         let bundle = finra_validate();
-        let mut e = BaselineEngine::new(bundle.app.clone(), 3);
+        let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 3));
         e.prewarm();
         let mut rng = SimRng::seed(11);
         (bundle.seed)(&mut e.kv, &mut rng);

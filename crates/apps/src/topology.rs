@@ -301,17 +301,18 @@ mod tests {
 
     #[test]
     fn generated_apps_run_on_both_engines() {
-        use specfaas_core::{SpecConfig, SpecEngine};
-        use specfaas_platform::BaselineEngine;
+        use specfaas_core::{SpecConfig, SpecCore, SpecEngine};
+        use specfaas_platform::{BaselineCore, BaselineEngine};
         for seed in 0..10u64 {
             let bundle = random_bundle(seed);
-            let mut base = BaselineEngine::new(bundle.app.clone(), 7);
+            let mut base = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 7));
             base.prewarm();
             let mut rng = SimRng::seed(1);
             (bundle.seed)(&mut base.kv, &mut rng);
             base.run_single((bundle.make_input)(&mut rng));
 
-            let mut spec = SpecEngine::new(bundle.app.clone(), SpecConfig::full(), 7);
+            let mut spec =
+                SpecEngine::new(SpecCore::new(bundle.app.clone(), SpecConfig::full(), 7));
             spec.prewarm();
             let mut rng = SimRng::seed(1);
             (bundle.seed)(&mut spec.kv, &mut rng);

@@ -590,9 +590,9 @@ mod tests {
 
     #[test]
     fn apps_run_on_baseline_with_calls() {
-        use specfaas_platform::BaselineEngine;
+        use specfaas_platform::{BaselineCore, BaselineEngine};
         for bundle in apps() {
-            let mut e = BaselineEngine::new(bundle.app.clone(), 11);
+            let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 11));
             e.prewarm();
             let mut rng = SimRng::seed(2);
             (bundle.seed)(&mut e.kv, &mut rng);
@@ -608,12 +608,12 @@ mod tests {
 
     #[test]
     fn apps_speed_up_under_specfaas_after_training() {
-        use specfaas_core::{SpecConfig, SpecEngine};
-        use specfaas_platform::BaselineEngine;
+        use specfaas_core::{SpecConfig, SpecCore, SpecEngine};
+        use specfaas_platform::{BaselineCore, BaselineEngine};
         let bundle = trip_info_app();
         let mut rng = SimRng::seed(3);
 
-        let mut base = BaselineEngine::new(bundle.app.clone(), 5);
+        let mut base = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 5));
         base.prewarm();
         (bundle.seed)(&mut base.kv, &mut rng);
         let fixed_input = Value::map([
@@ -623,7 +623,7 @@ mod tests {
         ]);
         let bd = base.run_single(fixed_input.clone());
 
-        let mut spec = SpecEngine::new(bundle.app.clone(), SpecConfig::full(), 5);
+        let mut spec = SpecEngine::new(SpecCore::new(bundle.app.clone(), SpecConfig::full(), 5));
         spec.prewarm();
         let mut rng2 = SimRng::seed(3);
         (bundle.seed)(&mut spec.kv, &mut rng2);
@@ -639,9 +639,9 @@ mod tests {
 
     #[test]
     fn seat_inventory_round_trip() {
-        use specfaas_platform::BaselineEngine;
+        use specfaas_platform::{BaselineCore, BaselineEngine};
         let bundle = ticket_app();
-        let mut e = BaselineEngine::new(bundle.app.clone(), 13);
+        let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 13));
         e.prewarm();
         let mut rng = SimRng::seed(4);
         (bundle.seed)(&mut e.kv, &mut rng);

@@ -8,15 +8,15 @@
 use std::sync::Arc;
 
 use specfaas_bench::microbench::bench;
-use specfaas_core::{SpecConfig, SpecEngine};
-use specfaas_platform::BaselineEngine;
+use specfaas_core::{SpecConfig, SpecCore, SpecEngine};
+use specfaas_platform::{BaselineCore, BaselineEngine};
 use specfaas_sim::SimRng;
 
 fn bench_single_invocation() {
     let bundle = specfaas_apps::faaschain::banking();
 
     {
-        let mut e = BaselineEngine::new(Arc::clone(&bundle.app), 1);
+        let mut e = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), 1));
         e.prewarm();
         let mut rng = SimRng::seed(1);
         (bundle.seed)(&mut e.kv, &mut rng);
@@ -27,7 +27,11 @@ fn bench_single_invocation() {
     }
 
     {
-        let mut e = SpecEngine::new(Arc::clone(&bundle.app), SpecConfig::full(), 1);
+        let mut e = SpecEngine::new(SpecCore::new(
+            Arc::clone(&bundle.app),
+            SpecConfig::full(),
+            1,
+        ));
         e.prewarm();
         let mut rng = SimRng::seed(1);
         (bundle.seed)(&mut e.kv, &mut rng);
@@ -44,7 +48,11 @@ fn bench_single_invocation() {
 fn bench_closed_loop_throughput() {
     let bundle = specfaas_apps::trainticket::ticket_app();
     bench("simulation/100_requests_specfaas", 5, &mut || {
-        let mut e = SpecEngine::new(Arc::clone(&bundle.app), SpecConfig::full(), 2);
+        let mut e = SpecEngine::new(SpecCore::new(
+            Arc::clone(&bundle.app),
+            SpecConfig::full(),
+            2,
+        ));
         e.prewarm();
         let mut rng = SimRng::seed(2);
         (bundle.seed)(&mut e.kv, &mut rng);

@@ -17,8 +17,8 @@ use specfaas_bench::runner::{
     baseline_single_ms, measure_baseline_concurrent_sized, measure_spec_concurrent_sized,
     ExperimentParams,
 };
-use specfaas_core::{SpecConfig, SpecEngine};
-use specfaas_platform::{BaselineEngine, Load};
+use specfaas_core::{SpecConfig, SpecCore, SpecEngine};
+use specfaas_platform::{BaselineCore, BaselineEngine, Load};
 use specfaas_sim::{SimDuration, SimRng};
 
 fn params(quick: bool, rps: f64) -> ExperimentParams {
@@ -137,7 +137,8 @@ fn cold_variant(jobs: usize, quick: bool) {
                     let seed = 0xC01D;
                     // Baseline: fresh engine, no prewarm, first request is cold.
                     let bd = {
-                        let mut b = BaselineEngine::new(bundle.app.clone(), seed);
+                        let mut b =
+                            BaselineEngine::new(BaselineCore::new(bundle.app.clone(), seed));
                         let mut rng = SimRng::seed(seed);
                         (bundle.seed)(&mut b.kv, &mut rng);
                         b.run_single((bundle.make_input)(&mut rng))
@@ -146,7 +147,11 @@ fn cold_variant(jobs: usize, quick: bool) {
                     // containers reclaimed; the measured request cold-starts
                     // every function but overlaps the starts speculatively.
                     let sd = {
-                        let mut e = SpecEngine::new(bundle.app.clone(), SpecConfig::full(), seed);
+                        let mut e = SpecEngine::new(SpecCore::new(
+                            bundle.app.clone(),
+                            SpecConfig::full(),
+                            seed,
+                        ));
                         e.prewarm();
                         let mut rng = SimRng::seed(seed);
                         (bundle.seed)(&mut e.kv, &mut rng);

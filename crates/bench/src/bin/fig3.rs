@@ -13,13 +13,13 @@
 use specfaas_apps::all_suites;
 use specfaas_bench::executor::{self, ExperimentCell};
 use specfaas_bench::report::{f1, pct, Table};
-use specfaas_platform::{BaselineEngine, Breakdown};
+use specfaas_platform::{BaselineCore, BaselineEngine, Breakdown};
 use specfaas_sim::SimRng;
 
 /// Per-app cell: (cold breakdowns, warm breakdowns of the last request).
 fn measure_app(bundle: &specfaas_apps::AppBundle) -> (Vec<Breakdown>, Vec<Breakdown>) {
     // Cold: fresh engine, first request pays full cold start.
-    let mut e = BaselineEngine::new(bundle.app.clone(), 2);
+    let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 2));
     let mut rng = SimRng::seed(11);
     (bundle.seed)(&mut e.kv, &mut rng);
     let gen = bundle.make_input.clone();
@@ -27,7 +27,7 @@ fn measure_app(bundle: &specfaas_apps::AppBundle) -> (Vec<Breakdown>, Vec<Breakd
     let cold = m.breakdowns.clone();
 
     // Warm: pre-warmed engine, measure the third request.
-    let mut e = BaselineEngine::new(bundle.app.clone(), 2);
+    let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 2));
     e.prewarm();
     let mut rng = SimRng::seed(12);
     (bundle.seed)(&mut e.kv, &mut rng);

@@ -34,6 +34,7 @@
 //! trace analytics ([`analysis`]).
 
 pub mod analysis;
+pub mod artifact;
 pub mod executor;
 pub mod microbench;
 pub mod report;

@@ -9,9 +9,9 @@
 use std::sync::Arc;
 
 use specfaas_apps::AppBundle;
-use specfaas_core::{SpecConfig, SpecEngine};
+use specfaas_core::{SpecConfig, SpecCore, SpecEngine};
 use specfaas_platform::{
-    BaselineEngine, EngineCore, Harness, PolicyConfig, RunMetrics, ScoreboardRow,
+    BaselineCore, BaselineEngine, EngineCore, Harness, PolicyConfig, RunMetrics, ScoreboardRow,
 };
 use specfaas_sim::timeseries::{MetricsRegistry, SnapshotLog};
 use specfaas_sim::trace::Tracer;
@@ -68,7 +68,7 @@ pub fn prepared_baseline_with(
     seed: u64,
     policy: &PolicyConfig,
 ) -> BaselineEngine {
-    let mut e = BaselineEngine::new(Arc::clone(&bundle.app), seed);
+    let mut e = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), seed));
     e.set_policies(policy);
     e.prewarm();
     let mut rng = SimRng::seed(seed ^ 0x5eed);
@@ -103,7 +103,7 @@ pub fn prepared_spec_with(
     train_requests: u64,
     policy: &PolicyConfig,
 ) -> SpecEngine {
-    let mut e = SpecEngine::new(Arc::clone(&bundle.app), config, seed);
+    let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&bundle.app), config, seed));
     e.set_policies(policy);
     e.prewarm();
     let mut rng = SimRng::seed(seed ^ 0x5eed);

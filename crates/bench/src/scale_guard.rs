@@ -23,10 +23,10 @@
 //!    stay ≥ [`MIN_SPEC_WIN`]; losing the win at scale would mean the
 //!    flow-level engine no longer reproduces the paper's effect.
 //!
-//! Like [`crate::wallclock_guard`], the parser is a minimal extractor for
-//! the artifact's own fixed emitter, keeping the bench crate
-//! dependency-free. Tier objects are emitted flat (no nested objects), so
-//! naive `{`/`}` delimiting is sound.
+//! Like [`crate::wallclock_guard`], fields are read with the minimal
+//! extractor in [`crate::artifact`].
+
+use crate::artifact::{flat_objects, num_after};
 
 /// One tenant tier's guarded fields.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,27 +61,10 @@ impl ScaleArtifact {
     }
 }
 
-/// Extracts the first number following `"key":` in `chunk`.
-fn num_after(chunk: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &chunk[chunk.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Parses every tier object out of a scale artifact.
 pub fn parse_artifact(json: &str) -> Result<ScaleArtifact, String> {
     let mut tiers = Vec::new();
-    let mut rest = json;
-    while let Some(open) = rest.find('{') {
-        let body_start = open + 1;
-        let Some(close) = rest[body_start..].find('}').map(|i| body_start + i) else {
-            break;
-        };
-        let body = &rest[body_start..close];
+    for body in flat_objects(json) {
         // A tier object carries both a tenant count and a win figure;
         // the top-level header object carries neither.
         if body.contains("\"tenants\":") && body.contains("\"speculation_win\":") {
@@ -98,7 +81,6 @@ pub fn parse_artifact(json: &str) -> Result<ScaleArtifact, String> {
                 speculation_win: get("speculation_win")?,
             });
         }
-        rest = &rest[close + 1..];
     }
     if tiers.is_empty() {
         return Err("no tier objects found in scale artifact".to_string());

@@ -24,9 +24,9 @@
 //!    absolute (it compares the current run against itself, not against
 //!    the blessing) and is skipped for artifacts that predate the field.
 //!
-//! The parser is a deliberately minimal extractor for the artifact's own
-//! fixed emitter (flat keys, no nesting surprises) — not a general JSON
-//! parser — so the bench crate stays dependency-free.
+//! Fields are read with the minimal extractor in [`crate::artifact`].
+
+use crate::artifact::{flat_objects, num_after};
 
 /// The artifact fields the guard compares.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,34 +53,12 @@ pub struct WallclockArtifact {
     pub overhead_ratio: Option<f64>,
 }
 
-/// Extracts the first number following `"key":` in `chunk`.
-fn num_after(chunk: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &chunk[chunk.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Finds the object (within `json`) that contains all of `markers`, and
-/// extracts `key` from it. Objects are delimited naively by `{`/`}` —
-/// sufficient for the artifact's flat structure.
+/// Finds the first object (within `json`) that contains all of
+/// `markers` and a number under `key`, and returns that number.
 fn obj_num(json: &str, markers: &[&str], key: &str) -> Option<f64> {
-    let mut rest = json;
-    while let Some(open) = rest.find('{') {
-        let body_start = open + 1;
-        let close = rest[body_start..].find('}').map(|i| body_start + i)?;
-        let body = &rest[body_start..close];
-        if markers.iter().all(|m| body.contains(m)) {
-            if let Some(v) = num_after(body, key) {
-                return Some(v);
-            }
-        }
-        rest = &rest[close + 1..];
-    }
-    None
+    flat_objects(json)
+        .filter(|body| markers.iter().all(|m| body.contains(m)))
+        .find_map(|body| num_after(body, key))
 }
 
 /// Parses the fields the guard needs out of a wallclock artifact.

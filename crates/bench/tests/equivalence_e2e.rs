@@ -15,8 +15,8 @@
 use std::sync::Arc;
 
 use specfaas_apps::AppBundle;
-use specfaas_core::{PolicyConfig, SpecConfig, SpecEngine};
-use specfaas_platform::{BaselineEngine, RequestOutcome, RunMetrics};
+use specfaas_core::{PolicyConfig, SpecConfig, SpecCore, SpecEngine};
+use specfaas_platform::{BaselineCore, BaselineEngine, RequestOutcome, RunMetrics};
 use specfaas_sim::SimRng;
 use specfaas_storage::Value;
 
@@ -46,7 +46,7 @@ fn run_baseline(
     seed: u64,
     inputs: &[Value],
 ) -> (RunMetrics, Vec<(String, String)>) {
-    let mut e = BaselineEngine::new(Arc::clone(&bundle.app), seed);
+    let mut e = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), seed));
     e.prewarm();
     let mut rng = SimRng::seed(seed ^ 0x5eed);
     (bundle.seed)(&mut e.kv, &mut rng);
@@ -67,7 +67,11 @@ fn run_spec(
     seed: u64,
     inputs: &[Value],
 ) -> (RunMetrics, Vec<(String, String)>) {
-    let mut e = SpecEngine::new(Arc::clone(&bundle.app), SpecConfig::full(), seed);
+    let mut e = SpecEngine::new(SpecCore::new(
+        Arc::clone(&bundle.app),
+        SpecConfig::full(),
+        seed,
+    ));
     e.prewarm();
     let mut rng = SimRng::seed(seed ^ 0x5eed);
     (bundle.seed)(&mut e.kv, &mut rng);
@@ -147,7 +151,7 @@ fn engines_agree_under_non_default_policy() {
             );
             let inputs = inputs_for(bundle, seed);
 
-            let mut be = BaselineEngine::new(Arc::clone(&bundle.app), seed);
+            let mut be = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), seed));
             be.set_policies(&policy);
             be.prewarm();
             let mut rng = SimRng::seed(seed ^ 0x5eed);
@@ -157,7 +161,11 @@ fn engines_agree_under_non_default_policy() {
             }
             let mb = be.run_closed(0, |_| Value::Null);
 
-            let mut se = SpecEngine::new(Arc::clone(&bundle.app), SpecConfig::full(), seed);
+            let mut se = SpecEngine::new(SpecCore::new(
+                Arc::clone(&bundle.app),
+                SpecConfig::full(),
+                seed,
+            ));
             se.set_policies(&policy);
             se.prewarm();
             let mut rng = SimRng::seed(seed ^ 0x5eed);
@@ -204,7 +212,11 @@ fn trained_spec_commits_the_same_state_as_cold_spec() {
     let inputs = inputs_for(&bundle, seed);
 
     let run = |train: u64| {
-        let mut e = SpecEngine::new(Arc::clone(&bundle.app), SpecConfig::full(), seed);
+        let mut e = SpecEngine::new(SpecCore::new(
+            Arc::clone(&bundle.app),
+            SpecConfig::full(),
+            seed,
+        ));
         e.prewarm();
         let mut rng = SimRng::seed(seed ^ 0x5eed);
         (bundle.seed)(&mut e.kv, &mut rng);

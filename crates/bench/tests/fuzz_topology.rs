@@ -15,8 +15,8 @@
 use std::sync::Arc;
 
 use specfaas_apps::AppBundle;
-use specfaas_core::{SpecConfig, SpecEngine};
-use specfaas_platform::{BaselineEngine, RequestOutcome, RunMetrics};
+use specfaas_core::{SpecConfig, SpecCore, SpecEngine};
+use specfaas_platform::{BaselineCore, BaselineEngine, RequestOutcome, RunMetrics};
 use specfaas_sim::SimRng;
 use specfaas_storage::Value;
 
@@ -52,7 +52,7 @@ fn run_baseline(
     seed: u64,
     inputs: &[Value],
 ) -> (RunMetrics, Vec<(String, String)>) {
-    let mut e = BaselineEngine::new(Arc::clone(&bundle.app), seed);
+    let mut e = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), seed));
     e.prewarm();
     let mut rng = SimRng::seed(seed ^ 0x5eed);
     (bundle.seed)(&mut e.kv, &mut rng);
@@ -73,7 +73,11 @@ fn run_spec(
     seed: u64,
     inputs: &[Value],
 ) -> (RunMetrics, Vec<(String, String)>) {
-    let mut e = SpecEngine::new(Arc::clone(&bundle.app), SpecConfig::full(), seed);
+    let mut e = SpecEngine::new(SpecCore::new(
+        Arc::clone(&bundle.app),
+        SpecConfig::full(),
+        seed,
+    ));
     e.prewarm();
     let mut rng = SimRng::seed(seed ^ 0x5eed);
     (bundle.seed)(&mut e.kv, &mut rng);

@@ -40,12 +40,14 @@ impl SpecCore {
             // Request already gone (defensive): the stint can no longer be
             // attributed to a slot, so count it as wasted work rather than
             // dropping it from the core-time conservation ledger.
-            self.charge_squashed(req_id, inst.func, "late_completion", 0, core_time);
+            self.rt
+                .charge_squashed(req_id.0, inst.func, "late_completion", 0, core_time);
             return;
         }
         if self.requests[&req_id].pipeline.slot(slot_id).is_none() {
             // Slot squashed while its completion event was in flight.
-            self.charge_squashed(req_id, inst.func, "late_completion", 0, core_time);
+            self.rt
+                .charge_squashed(req_id.0, inst.func, "late_completion", 0, core_time);
             return;
         }
         let req = self.requests.get_mut(&req_id).expect("live");
@@ -91,18 +93,16 @@ impl SpecCore {
                 req.pipeline.order()[start..=stop].to_vec()
             };
             let cascade = block.len() as u32;
-            if self.rt.tracer.enabled() {
-                let now = self.rt.sim.now();
-                self.rt.tracer.emit(
-                    now,
-                    TraceEventKind::Squash {
-                        req: req_id.0,
-                        slot: head.0,
-                        cause: SquashCause::WrongPath,
-                        cascade,
-                    },
-                );
-            }
+            let now = self.rt.sim.now();
+            self.rt.record(
+                now,
+                TraceEventKind::Squash {
+                    req: req_id.0,
+                    slot: head.0,
+                    cause: SquashCause::WrongPath,
+                    cascade,
+                },
+            );
             for s in block {
                 self.squash_slot(req_id, s, false, "unconsumed_callee", cascade);
             }
@@ -151,17 +151,15 @@ impl SpecCore {
         let output = slot.output.as_ref().expect("completed");
         let actual = Self::branch_outcome(output, field.as_deref());
         self.predictor.record_outcome(predicted == actual);
-        if self.rt.tracer.enabled() {
-            let now = self.rt.sim.now();
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::BranchResolve {
-                    req: req_id.0,
-                    predicted,
-                    actual,
-                },
-            );
-        }
+        let now = self.rt.sim.now();
+        self.rt.record(
+            now,
+            TraceEventKind::BranchResolve {
+                req: req_id.0,
+                predicted,
+                actual,
+            },
+        );
         if predicted != actual {
             // Squash the wrong path: everything after the branch.
             let pos = req.pipeline.position(slot_id).expect("live");
@@ -242,7 +240,8 @@ impl SpecCore {
                 let wasted = req.slot_cpu.remove(&callee_slot);
                 req.functions_squashed += 1;
                 if let Some(t) = wasted {
-                    self.charge_squashed(req_id, callee_func, "orphan_callee", 0, t);
+                    self.rt
+                        .charge_squashed(req_id.0, callee_func, "orphan_callee", 0, t);
                 }
             }
             return;
@@ -303,18 +302,15 @@ impl SpecCore {
         }
         let req = self.requests.get_mut(&req_id).expect("live");
         req.committed_sequence.push(slot.func.0);
-        self.rt.registry.inc("specfaas_commits_total");
-        if self.rt.tracer.enabled() {
-            let now = self.rt.sim.now();
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::Commit {
-                    req: req_id.0,
-                    slot: slot_id.0,
-                    func: slot.func.0,
-                },
-            );
-        }
+        let now = self.rt.sim.now();
+        self.rt.record(
+            now,
+            TraceEventKind::Commit {
+                req: req_id.0,
+                slot: slot_id.0,
+                func: slot.func.0,
+            },
+        );
 
         let input = slot.input.take().expect("committed slot has input");
         let output = slot.output.take().expect("committed slot has output");
@@ -379,7 +375,7 @@ impl SpecCore {
                     .push_back(func, SlotRole::Entry { entry: b }, path);
                 let s = req.pipeline.slot_mut(id).expect("fresh");
                 s.input = Some(payload.clone());
-                s.non_speculative = self.app.registry.spec(func).annotations.non_speculative;
+                s.non_speculative = self.rt.app.registry.spec(func).annotations.non_speculative;
                 spawned.push(id);
             }
             for id in spawned {
@@ -401,7 +397,7 @@ impl SpecCore {
                     .push_back(func, SlotRole::Entry { entry: join_entry }, path);
                 let s = req.pipeline.slot_mut(id).expect("fresh");
                 s.input = Some(Value::List(inputs.into()));
-                s.non_speculative = self.app.registry.spec(func).annotations.non_speculative;
+                s.non_speculative = self.rt.app.registry.spec(func).annotations.non_speculative;
                 // The join's input (all contributions) is real: a memo row
                 // for it lets extension speculate past the join barrier.
                 self.refresh_prediction(req_id, id);
@@ -426,25 +422,22 @@ impl SpecCore {
             self.predictor.update(BranchSite::Entry(entry), path, taken);
         }
         self.promote(req.observed);
-        if self.rt.tracer.enabled() {
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::Terminal {
-                    req: req_id.0,
-                    completed: true,
-                },
-            );
-        }
+        self.rt.record(
+            now,
+            TraceEventKind::Terminal {
+                req: req_id.0,
+                completed: true,
+            },
+        );
         if self.rt.tracer.checking() {
             // The learned-table promotion above is the only place memo
             // tables grow; re-validate capacity after every request.
-            for f in 0..self.app.registry.len() as u32 {
+            for f in 0..self.rt.app.registry.len() as u32 {
                 let t = self.memos.table(f);
                 self.rt.tracer.check_memo_capacity(f, t.len(), t.capacity());
             }
         }
         self.rt.metrics.functions_squashed += u64::from(req.functions_squashed);
-        self.rt.registry.inc("specfaas_requests_completed_total");
         if req.measured {
             self.rt.record_completion(InvocationRecord {
                 arrived: req.arrived,

@@ -147,17 +147,14 @@ impl SpecCore {
                         .slot_mut(slot_id)
                         .expect("live")
                         .predicted_taken = Some(dir);
-                    self.rt.registry.inc("specfaas_branch_predictions_total");
-                    if self.rt.tracer.enabled() {
-                        let now = self.rt.sim.now();
-                        self.rt.tracer.emit(
-                            now,
-                            TraceEventKind::BranchPredict {
-                                req: req_id.0,
-                                taken: dir,
-                            },
-                        );
-                    }
+                    let now = self.rt.sim.now();
+                    self.rt.record(
+                        now,
+                        TraceEventKind::BranchPredict {
+                            req: req_id.0,
+                            taken: dir,
+                        },
+                    );
                 }
                 let Some(n) = target else {
                     // Predicted end of workflow: nothing to launch until
@@ -192,7 +189,7 @@ impl SpecCore {
             SlotRole::Entry { entry: next_entry },
             new_path,
         );
-        let annotations = self.app.registry.spec(func).annotations;
+        let annotations = self.rt.app.registry.spec(func).annotations;
         let pred_iter = req
             .pipeline
             .slot(slot_id)
@@ -244,17 +241,14 @@ impl SpecCore {
             false
         };
         if hit {
-            self.rt.registry.inc("specfaas_memo_hits_total");
-            if self.rt.tracer.enabled() {
-                let now = self.rt.sim.now();
-                self.rt.tracer.emit(
-                    now,
-                    TraceEventKind::MemoHit {
-                        req: req_id.0,
-                        func,
-                    },
-                );
-            }
+            let now = self.rt.sim.now();
+            self.rt.record(
+                now,
+                TraceEventKind::MemoHit {
+                    req: req_id.0,
+                    func,
+                },
+            );
         }
     }
 
@@ -298,7 +292,7 @@ impl SpecCore {
         func: FuncId,
         input: &Value,
     ) -> Option<bool> {
-        let program: Program = self.app.registry.spec(func).program.clone();
+        let program: Program = self.rt.app.registry.spec(func).program.clone();
         // The functional interpreter reads only from the map it is given,
         // so it runs against a copy of the (small) committed store.
         let mut scratch: FxHashMap<String, Value> = FxHashMap::default();
@@ -357,35 +351,30 @@ impl SpecCore {
                 .map(|r| r.pipeline.is_head(slot_id))
                 .unwrap_or(true);
             if !head && self.rt.faults.roll(FaultSite::SlotDrop, now) {
-                self.rt.metrics.faults.injected += 1;
-                self.rt.metrics.faults.slot_drops += 1;
-                self.rt
-                    .registry
-                    .inc_labeled("specfaas_faults_injected_total", "site", "slot_drop");
-                if self.rt.tracer.enabled() {
-                    let func = self
-                        .requests
-                        .get(&req_id)
-                        .and_then(|r| r.pipeline.slot(slot_id))
-                        .map(|s| s.func.0)
-                        .unwrap_or(u32::MAX);
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::FaultInjected {
-                            req: req_id.0,
-                            site: "slot_drop",
-                        },
-                    );
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::RetryBackoff {
-                            req: req_id.0,
-                            func,
-                            attempt: 1,
-                            backoff: self.rt.retry.backoff(1),
-                        },
-                    );
-                }
+                let func = self
+                    .requests
+                    .get(&req_id)
+                    .and_then(|r| r.pipeline.slot(slot_id))
+                    .map(|s| s.func.0)
+                    .unwrap_or(u32::MAX);
+                self.rt.record(
+                    now,
+                    TraceEventKind::FaultInjected {
+                        req: req_id.0,
+                        site: "slot_drop",
+                    },
+                );
+                // The relaunch is a redispatch, not a counted retry
+                // (`FaultStats::retried`).
+                self.rt.record(
+                    now,
+                    TraceEventKind::RetryBackoff {
+                        req: req_id.0,
+                        func,
+                        attempt: 1,
+                        backoff: self.rt.retry.backoff(1),
+                    },
+                );
                 self.rt
                     .sim
                     .schedule_in(self.rt.retry.backoff(1), Ev::RetrySlot(req_id, slot_id));
@@ -398,23 +387,21 @@ impl SpecCore {
             slot.state = SlotState::Running;
             (req.ctrl, slot.func, slot.input.clone().expect("input"))
         };
-        let annotations = self.app.registry.spec(func).annotations;
+        let annotations = self.rt.app.registry.spec(func).annotations;
         let speculative = self
             .requests
             .get(&req_id)
             .map(|r| !r.pipeline.is_head(slot_id))
             .unwrap_or(false);
-        if self.rt.tracer.enabled() {
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::SlotLaunch {
-                    req: req_id.0,
-                    slot: slot_id.0,
-                    func: func.0,
-                    speculative,
-                },
-            );
-        }
+        self.rt.record(
+            now,
+            TraceEventKind::SlotLaunch {
+                req: req_id.0,
+                slot: slot_id.0,
+                func: func.0,
+                speculative,
+            },
+        );
 
         // Pure-function skip (§V-B): on a memoization hit, skip execution
         // entirely. Disabled by default to match the paper's conservative
@@ -427,20 +414,13 @@ impl SpecCore {
                 slot.state = SlotState::Completed;
                 slot.output = Some(output);
                 req.functions_run += 1;
-                self.rt.metrics.functions_started += 1;
-                self.rt.registry.inc("specfaas_functions_started_total");
-                self.rt
-                    .topk_by_function("specfaas_requests_by_function", &self.app, func, 1);
-                self.rt.registry.inc("specfaas_memo_hits_total");
-                if self.rt.tracer.enabled() {
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::MemoHit {
-                            req: req_id.0,
-                            func: func.0,
-                        },
-                    );
-                }
+                self.rt.record(
+                    now,
+                    TraceEventKind::MemoHit {
+                        req: req_id.0,
+                        func: func.0,
+                    },
+                );
                 self.on_slot_completed(req_id, slot_id);
                 return;
             }
@@ -456,7 +436,7 @@ impl SpecCore {
         let id = InstanceId(self.rt.next_inst);
         self.rt.next_inst += 1;
         let node = self.rt.cluster.pick_node(func);
-        let program = self.app.registry.spec(func).program.clone();
+        let program = self.rt.app.registry.spec(func).program.clone();
         let child_rng = self.rt.rng.split();
         let mut inst = FnInstance::new(id, func, node, &program, input, child_rng, now);
         inst.breakdown.platform = delay;
@@ -472,10 +452,6 @@ impl SpecCore {
         let req = self.requests.get_mut(&req_id).expect("live");
         req.slot_inst.insert(slot_id, id);
         req.functions_run += 1;
-        self.rt.metrics.functions_started += 1;
-        self.rt.registry.inc("specfaas_functions_started_total");
-        self.rt
-            .topk_by_function("specfaas_requests_by_function", &self.app, func, 1);
         if speculative && self.rt.registry.enabled() {
             self.spec_live.insert(id);
         }
@@ -541,7 +517,13 @@ impl SpecCore {
                 let s = req.pipeline.slot_mut(id).expect("fresh");
                 s.input = Some(args.clone());
                 s.input_speculative = true;
-                s.non_speculative = self.app.registry.spec(callee).annotations.non_speculative;
+                s.non_speculative = self
+                    .rt
+                    .app
+                    .registry
+                    .spec(callee)
+                    .annotations
+                    .non_speculative;
             }
             req.call_state
                 .entry(caller_slot)

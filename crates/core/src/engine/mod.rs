@@ -11,8 +11,6 @@
 //! predictor, memoization tables, stall list) live across invocations and
 //! are only ever updated with committed, non-speculative data (§V-E).
 
-use std::cmp::Reverse;
-
 use specfaas_sim::hash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
@@ -166,53 +164,29 @@ struct InstMeta {
     container_acquired: bool,
 }
 
-/// The SpecFaaS speculative execution engine for one application: a
-/// generic [`Harness`] wrapped around the speculative [`SpecCore`].
+/// The SpecFaaS speculative execution engine for one application: the
+/// generic [`Harness`] driving the speculative [`SpecCore`].
 ///
 /// # Example
 ///
 /// ```no_run
-/// use specfaas_core::{SpecEngine, SpecConfig};
+/// use specfaas_core::{SpecConfig, SpecCore, SpecEngine};
 /// # fn app() -> specfaas_workflow::AppSpec { unimplemented!() }
-/// let mut engine = SpecEngine::new(std::sync::Arc::new(app()), SpecConfig::full(), 42);
+/// let app = std::sync::Arc::new(app());
+/// let mut engine = SpecEngine::new(SpecCore::new(app, SpecConfig::full(), 42));
 /// engine.prewarm();
 /// // Warm the predictor + memoization tables, then measure.
 /// engine.run_closed(200, |_rng| specfaas_storage::Value::Null);
 /// let metrics = engine.run_closed(100, |_rng| specfaas_storage::Value::Null);
 /// println!("mean response: {:.2} ms", metrics.mean_response_ms());
 /// ```
-pub struct SpecEngine {
-    harness: Harness<SpecCore>,
-}
-
-impl SpecEngine {
-    /// Creates an engine for `app` on the paper's 5-node testbed.
-    pub fn new(app: Arc<AppSpec>, config: SpecConfig, seed: u64) -> Self {
-        SpecEngine {
-            harness: Harness::new(SpecCore::new(app, config, seed)),
-        }
-    }
-}
-
-impl std::ops::Deref for SpecEngine {
-    type Target = Harness<SpecCore>;
-    fn deref(&self) -> &Self::Target {
-        &self.harness
-    }
-}
-
-impl std::ops::DerefMut for SpecEngine {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.harness
-    }
-}
+pub type SpecEngine = Harness<SpecCore>;
 
 /// The speculative engine core: SpecFaaS policy state (sequence table,
 /// branch predictor, memoization tables, stall list, pipelines) layered
 /// over the shared [`Runtime`]. Drive it through [`SpecEngine`] or any
 /// [`Harness`]; on its own it only implements [`EngineCore`].
 pub struct SpecCore {
-    app: Arc<AppSpec>,
     /// Engine-agnostic runtime substrate (clock, RNG, cluster, storage,
     /// faults, tracer, registry, run bookkeeping).
     rt: Runtime<Ev>,
@@ -273,10 +247,6 @@ impl EngineCore for SpecCore {
 
     fn rt_mut(&mut self) -> &mut Runtime<Ev> {
         &mut self.rt
-    }
-
-    fn app(&self) -> &AppSpec {
-        &self.app
     }
 
     fn arrival() -> Ev {
@@ -367,8 +337,7 @@ impl SpecCore {
         let functions = app.registry.len();
         let seqtable = SequenceTable::new(app.compiled.clone());
         SpecCore {
-            app,
-            rt: Runtime::new(seed),
+            rt: Runtime::new(app, seed),
             predictor: BranchPredictor::new(config.branch_confidence_window),
             memos: MemoTables::new(functions, config.memo_capacity),
             stall_list: StallList::new(config.stall_after_squashes),
@@ -383,11 +352,6 @@ impl SpecCore {
             orphans: FxHashSet::default(),
             requests: FxHashMap::default(),
         }
-    }
-
-    /// The application under test.
-    pub fn app(&self) -> &AppSpec {
-        &self.app
     }
 
     /// The branch predictor (for hit-rate reporting).
@@ -435,30 +399,6 @@ impl SpecCore {
         self.rt.sample_kv_gauge(now);
     }
 
-    /// Charges `amount` to the Table-IV squashed-CPU ledger and mirrors
-    /// the charge into the flight recorder ([`TraceEventKind::SquashCharge`])
-    /// and registry, so post-hoc attribution reconciles exactly with
-    /// [`RunMetrics::squashed_core_time`]. Zero-amount charges are
-    /// ledger no-ops and emit nothing.
-    fn charge_squashed(
-        &mut self,
-        req: RequestId,
-        func: FuncId,
-        site: &'static str,
-        cascade: u32,
-        amount: SimDuration,
-    ) {
-        self.rt.charge_squashed(req.0, func, site, cascade, amount);
-        if amount > SimDuration::ZERO {
-            self.rt.topk_by_function(
-                "specfaas_wasted_core_us_by_function",
-                &self.app,
-                func,
-                amount.as_micros(),
-            );
-        }
-    }
-
     // ------------------------------------------------------------------
     // Request lifecycle
     // ------------------------------------------------------------------
@@ -502,16 +442,11 @@ impl SpecCore {
         {
             let s = req.pipeline.slot_mut(slot).expect("fresh slot");
             s.input = Some(input);
-            s.non_speculative = self.app.registry.spec(func).annotations.non_speculative;
+            s.non_speculative = self.rt.app.registry.spec(func).annotations.non_speculative;
         }
         self.requests.insert(id, req);
-        self.rt.metrics.submitted += 1;
-        self.rt.registry.inc("specfaas_requests_submitted_total");
-        if self.rt.tracer.enabled() {
-            self.rt
-                .tracer
-                .emit(now, TraceEventKind::RequestArrival { req: id.0 });
-        }
+        self.rt
+            .record(now, TraceEventKind::RequestArrival { req: id.0 });
         // Predict the start function's output so extension can speculate
         // past it immediately.
         self.refresh_prediction(id, slot);

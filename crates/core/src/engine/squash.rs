@@ -21,21 +21,16 @@ impl SpecCore {
             SquashKind::Fault => SquashCause::Fault,
         };
         let cascade = victims.len() as u32;
-        if self.rt.tracer.enabled() {
-            let now = self.rt.sim.now();
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::Squash {
-                    req: req_id.0,
-                    slot: first.0,
-                    cause,
-                    cascade,
-                },
-            );
-        }
-        self.rt
-            .registry
-            .inc_labeled("specfaas_squashes_total", "cause", cause.name());
+        let now = self.rt.sim.now();
+        self.rt.record(
+            now,
+            TraceEventKind::Squash {
+                req: req_id.0,
+                slot: first.0,
+                cause,
+                cascade,
+            },
+        );
         // Dependents torn down because a committed-path execution
         // faulted (not because speculation was wrong).
         if kind == SquashKind::Fault {
@@ -111,7 +106,7 @@ impl SpecCore {
         let inst = req.slot_inst.remove(&slot_id);
         // CPU spent on a now-squashed execution is wasted work.
         if let Some(t) = wasted {
-            self.charge_squashed(req_id, func, site, cascade, t);
+            self.rt.charge_squashed(req_id.0, func, site, cascade, t);
         }
         // Kill the running instance per the configured mechanism.
         if let Some(inst_id) = inst {
@@ -173,7 +168,8 @@ impl SpecCore {
                     self.orphans.insert(id);
                 } else {
                     if inst_state == InstanceState::Blocked {
-                        self.charge_squashed(req_id, inst_func, site, cascade, inst_acc);
+                        self.rt
+                            .charge_squashed(req_id.0, inst_func, site, cascade, inst_acc);
                         if meta_acquired {
                             self.rt
                                 .cluster
@@ -193,8 +189,8 @@ impl SpecCore {
                         // the kill-latency window itself goes into
                         // `squash_kill_busy` at SquashRelease.
                         if let Some(s) = inst_started {
-                            self.charge_squashed(
-                                req_id,
+                            self.rt.charge_squashed(
+                                req_id.0,
                                 inst_func,
                                 site,
                                 cascade,
@@ -229,7 +225,8 @@ impl SpecCore {
                     InstanceState::WaitingCore => {
                         // Past blocked stints are wasted work even though
                         // the instance holds no core right now.
-                        self.charge_squashed(req_id, inst_func, site, cascade, inst_acc);
+                        self.rt
+                            .charge_squashed(req_id.0, inst_func, site, cascade, inst_acc);
                         self.rt
                             .cluster
                             .node_mut(inst_node)
@@ -246,7 +243,8 @@ impl SpecCore {
                     InstanceState::Blocked => {
                         // Holds no core; count its past stints as wasted
                         // and free the container after the kill latency.
-                        self.charge_squashed(req_id, inst_func, site, cascade, inst_acc);
+                        self.rt
+                            .charge_squashed(req_id.0, inst_func, site, cascade, inst_acc);
                         self.meta.remove(&id);
                         self.instances.remove(&id);
                         if meta_acquired {
@@ -321,12 +319,7 @@ impl SpecCore {
             }
             Effect::Get { key } => {
                 let v = self.rt.kv.get(&key).cloned().unwrap_or(Value::Null);
-                self.rt.registry.inc("specfaas_kv_reads_total");
-                if self.rt.registry.enabled() {
-                    self.rt
-                        .kv_pending
-                        .push(Reverse(now + self.rt.kv.latency().read));
-                }
+                self.rt.kv_issued(now + self.rt.kv.latency().read, false);
                 self.rt
                     .sim
                     .schedule_in(self.rt.kv.latency().read, Ev::Resume(id, Some(v)));
@@ -334,12 +327,7 @@ impl SpecCore {
             Effect::Set { .. } => {
                 // Dropped: squashed state never propagates — but the
                 // handler still waits out the write latency.
-                self.rt.registry.inc("specfaas_kv_writes_total");
-                if self.rt.registry.enabled() {
-                    self.rt
-                        .kv_pending
-                        .push(Reverse(now + self.rt.kv.latency().write));
-                }
+                self.rt.kv_issued(now + self.rt.kv.latency().write, true);
                 self.rt
                     .sim
                     .schedule_in(self.rt.kv.latency().write, Ev::Resume(id, None));
@@ -374,7 +362,8 @@ impl SpecCore {
                         .started_at
                         .map(|s| now - s)
                         .unwrap_or(SimDuration::ZERO);
-                self.charge_squashed(RequestId(u64::MAX), inst.func, "orphan_done", 0, wasted);
+                self.rt
+                    .charge_squashed(u64::MAX, inst.func, "orphan_done", 0, wasted);
                 self.release_instance_resources(&inst, true, now);
             }
         }
@@ -407,7 +396,8 @@ impl SpecCore {
                         .started_at
                         .map(|s| now - s)
                         .unwrap_or(SimDuration::ZERO);
-                self.charge_squashed(charge_req, inst.func, "teardown", 0, wasted);
+                self.rt
+                    .charge_squashed(charge_req.0, inst.func, "teardown", 0, wasted);
                 if self.rt.tracer.enabled() {
                     if let (Some(s), Some(req)) = (inst.started_at, meta_req) {
                         self.rt.tracer.emit(
@@ -429,12 +419,24 @@ impl SpecCore {
                 }
             }
             InstanceState::Blocked => {
-                self.charge_squashed(charge_req, inst.func, "teardown", 0, inst.accumulated_core);
+                self.rt.charge_squashed(
+                    charge_req.0,
+                    inst.func,
+                    "teardown",
+                    0,
+                    inst.accumulated_core,
+                );
             }
             InstanceState::WaitingCore => {
                 // Past blocked stints count as wasted work even though no
                 // core is held at teardown time.
-                self.charge_squashed(charge_req, inst.func, "teardown", 0, inst.accumulated_core);
+                self.rt.charge_squashed(
+                    charge_req.0,
+                    inst.func,
+                    "teardown",
+                    0,
+                    inst.accumulated_core,
+                );
                 self.rt
                     .cluster
                     .node_mut(inst.node)
@@ -482,24 +484,17 @@ impl SpecCore {
         req.retry_hold.insert(slot_id);
         self.rt.metrics.faults.retried += 1;
         let backoff = self.rt.retry.backoff(failures);
-        if self.rt.tracer.enabled() {
-            let func = self
-                .requests
-                .get(&req_id)
-                .and_then(|r| r.pipeline.slot(slot_id))
-                .map(|s| s.func.0)
-                .unwrap_or(u32::MAX);
-            let now = self.rt.sim.now();
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::RetryBackoff {
-                    req: req_id.0,
-                    func,
-                    attempt: failures + 1,
-                    backoff,
-                },
-            );
-        }
+        let func = req.pipeline.slot(slot_id).map(|s| s.func.0);
+        let now = self.rt.sim.now();
+        self.rt.record(
+            now,
+            TraceEventKind::RetryBackoff {
+                req: req_id.0,
+                func: func.unwrap_or(u32::MAX),
+                attempt: failures + 1,
+                backoff,
+            },
+        );
         self.squash_from(req_id, slot_id, SquashKind::Fault);
         self.rt
             .sim
@@ -513,16 +508,14 @@ impl SpecCore {
             return;
         };
         req.retry_hold.remove(&slot_id);
-        if self.rt.tracer.enabled() {
-            let now = self.rt.sim.now();
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::Replay {
-                    req: req_id.0,
-                    slot: slot_id.0,
-                },
-            );
-        }
+        let now = self.rt.sim.now();
+        self.rt.record(
+            now,
+            TraceEventKind::Replay {
+                req: req_id.0,
+                slot: slot_id.0,
+            },
+        );
         self.pump(req_id);
     }
 
@@ -549,20 +542,14 @@ impl SpecCore {
                 }
             }
             _ => {
-                self.rt.metrics.faults.timeouts += 1;
-                self.rt
-                    .registry
-                    .inc_labeled("specfaas_faults_injected_total", "site", "timeout");
-                if self.rt.tracer.enabled() {
-                    let now = self.rt.sim.now();
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::FaultInjected {
-                            req: req_id.0,
-                            site: "timeout",
-                        },
-                    );
-                }
+                let now = self.rt.sim.now();
+                self.rt.record(
+                    now,
+                    TraceEventKind::FaultInjected {
+                        req: req_id.0,
+                        site: "timeout",
+                    },
+                );
                 self.slot_fault(req_id, slot_id);
             }
         }
@@ -592,19 +579,16 @@ impl SpecCore {
                 .slot(slot)
                 .map(|s| s.func)
                 .unwrap_or(FuncId(u32::MAX));
-            self.charge_squashed(req_id, func, "abort", 0, t);
+            self.rt.charge_squashed(req_id.0, func, "abort", 0, t);
         }
-        if self.rt.tracer.enabled() {
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::Terminal {
-                    req: req_id.0,
-                    completed: false,
-                },
-            );
-        }
+        self.rt.record(
+            now,
+            TraceEventKind::Terminal {
+                req: req_id.0,
+                completed: false,
+            },
+        );
         self.rt.metrics.functions_squashed += u64::from(req.functions_squashed);
-        self.rt.registry.inc("specfaas_requests_failed_total");
         if req.measured {
             self.rt.metrics.record_failure(InvocationRecord {
                 arrived: req.arrived,

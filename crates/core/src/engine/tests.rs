@@ -1,5 +1,5 @@
 use super::*;
-use specfaas_platform::BaselineEngine;
+use specfaas_platform::{BaselineCore, BaselineEngine};
 use specfaas_sim::{FaultPlan, RetryPolicy, SimRng};
 use specfaas_workflow::expr::*;
 use specfaas_workflow::{FunctionRegistry, FunctionSpec, Program, Workflow};
@@ -31,7 +31,11 @@ fn fresh_input(_: &mut SimRng) -> Value {
 
 #[test]
 fn single_request_completes_correctly() {
-    let mut e = SpecEngine::new(Arc::new(chain_app(4, 5)), SpecConfig::full(), 1);
+    let mut e = SpecEngine::new(SpecCore::new(
+        Arc::new(chain_app(4, 5)),
+        SpecConfig::full(),
+        1,
+    ));
     e.prewarm();
     let d = e.run_single(fresh_input(&mut SimRng::seed(0)));
     assert!(d > SimDuration::ZERO);
@@ -42,7 +46,11 @@ fn single_request_completes_correctly() {
 
 #[test]
 fn warmed_spec_is_faster_than_cold_spec() {
-    let mut e = SpecEngine::new(Arc::new(chain_app(6, 5)), SpecConfig::full(), 1);
+    let mut e = SpecEngine::new(SpecCore::new(
+        Arc::new(chain_app(6, 5)),
+        SpecConfig::full(),
+        1,
+    ));
     e.prewarm();
     let first = e.run_single(fresh_input(&mut SimRng::seed(0)));
     // Tables now know input → output for every function.
@@ -56,11 +64,11 @@ fn warmed_spec_is_faster_than_cold_spec() {
 #[test]
 fn spec_beats_baseline_on_chains() {
     let app = Arc::new(chain_app(8, 8));
-    let mut base = BaselineEngine::new(Arc::clone(&app), 1);
+    let mut base = BaselineEngine::new(BaselineCore::new(Arc::clone(&app), 1));
     base.prewarm();
     let base_d = base.run_single(fresh_input(&mut SimRng::seed(0)));
 
-    let mut spec = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 1);
+    let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 1));
     spec.prewarm();
     spec.run_single(fresh_input(&mut SimRng::seed(0))); // train
     let spec_d = spec.run_single(fresh_input(&mut SimRng::seed(0)));
@@ -75,7 +83,7 @@ fn spec_beats_baseline_on_chains() {
 fn memoization_off_still_correct() {
     let mut cfg = SpecConfig::full();
     cfg.memoization = false;
-    let mut e = SpecEngine::new(Arc::new(chain_app(4, 5)), cfg, 1);
+    let mut e = SpecEngine::new(SpecCore::new(Arc::new(chain_app(4, 5)), cfg, 1));
     e.prewarm();
     e.run_single(fresh_input(&mut SimRng::seed(0)));
     e.run_single(fresh_input(&mut SimRng::seed(0)));
@@ -119,7 +127,7 @@ fn branch_app() -> AppSpec {
 
 #[test]
 fn branch_misprediction_squashes_and_recovers() {
-    let mut e = SpecEngine::new(Arc::new(branch_app()), SpecConfig::full(), 1);
+    let mut e = SpecEngine::new(SpecCore::new(Arc::new(branch_app()), SpecConfig::full(), 1));
     e.prewarm();
     // Train: always taken.
     for _ in 0..5 {
@@ -137,7 +145,7 @@ fn branch_misprediction_squashes_and_recovers() {
 
 #[test]
 fn correct_prediction_overlaps_branch_target() {
-    let mut e = SpecEngine::new(Arc::new(branch_app()), SpecConfig::full(), 1);
+    let mut e = SpecEngine::new(SpecCore::new(Arc::new(branch_app()), SpecConfig::full(), 1));
     e.prewarm();
     for _ in 0..5 {
         e.run_single(Value::map([("x", Value::Int(50))]));
@@ -179,7 +187,7 @@ fn raw_dependence_app() -> AppSpec {
 fn data_violation_detected_and_output_correct() {
     let mut cfg = SpecConfig::full();
     cfg.stall_optimization = false; // isolate the squash path
-    let mut e = SpecEngine::new(Arc::new(raw_dependence_app()), cfg, 1);
+    let mut e = SpecEngine::new(SpecCore::new(Arc::new(raw_dependence_app()), cfg, 1));
     e.prewarm();
     // Train with v=1 so memoization launches the consumer early on
     // the next identical request.
@@ -200,7 +208,7 @@ fn data_violation_detected_and_output_correct() {
 fn stall_list_engages_after_repeated_squashes() {
     let mut cfg = SpecConfig::full();
     cfg.stall_after_squashes = 1;
-    let mut e = SpecEngine::new(Arc::new(raw_dependence_app()), cfg, 1);
+    let mut e = SpecEngine::new(SpecCore::new(Arc::new(raw_dependence_app()), cfg, 1));
     e.prewarm();
     for _ in 0..6 {
         e.run_single(Value::map([("v", Value::Int(7))]));
@@ -245,7 +253,7 @@ fn implicit_app() -> AppSpec {
 #[test]
 fn implicit_callees_overlap_after_training() {
     let app = Arc::new(implicit_app());
-    let mut e = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 1);
+    let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 1));
     e.prewarm();
     let inp = Value::map([("k", Value::Int(3))]);
     let cold = e.run_single(inp.clone());
@@ -284,7 +292,7 @@ fn stateful_implicit_app() -> AppSpec {
 #[test]
 fn implicit_wrong_callee_args_squash_and_recover() {
     let app = Arc::new(stateful_implicit_app());
-    let mut e = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 1);
+    let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 1));
     e.prewarm();
     e.kv.set("mode", Value::Int(1));
     // Train: the memo row records callee input {n: 1}.
@@ -308,7 +316,7 @@ fn lazy_squash_wastes_more_cpu_than_process_kill() {
         let mut cfg = SpecConfig::full();
         cfg.squash = squash;
         cfg.stall_optimization = false;
-        let mut e = SpecEngine::new(Arc::new(branch_app()), cfg, 1);
+        let mut e = SpecEngine::new(SpecCore::new(Arc::new(branch_app()), cfg, 1));
         e.prewarm();
         // Train taken, then run many not-taken → constant squashes.
         for _ in 0..5 {
@@ -350,7 +358,7 @@ fn non_speculative_annotation_delays_launch() {
         reg,
         Workflow::sequence(vec![Workflow::task("a"), Workflow::task("careful")]),
     );
-    let mut e = SpecEngine::new(Arc::new(app), SpecConfig::full(), 1);
+    let mut e = SpecEngine::new(SpecCore::new(Arc::new(app), SpecConfig::full(), 1));
     e.prewarm();
     e.run_single(Value::Null);
     let d = e.run_single(Value::Null);
@@ -383,7 +391,7 @@ fn pure_function_skip_avoids_execution() {
     ));
     let mut cfg = SpecConfig::full();
     cfg.pure_function_skip = true;
-    let mut e = SpecEngine::new(Arc::clone(&app), cfg, 1);
+    let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), cfg, 1));
     e.prewarm();
     let first = e.run_single(Value::Null);
     let second = e.run_single(Value::Null);
@@ -395,7 +403,11 @@ fn pure_function_skip_avoids_execution() {
 
 #[test]
 fn open_loop_load_completes() {
-    let mut e = SpecEngine::new(Arc::new(chain_app(5, 5)), SpecConfig::full(), 9);
+    let mut e = SpecEngine::new(SpecCore::new(
+        Arc::new(chain_app(5, 5)),
+        SpecConfig::full(),
+        9,
+    ));
     e.prewarm();
     let m = e.run_open(
         100.0,
@@ -409,7 +421,11 @@ fn open_loop_load_completes() {
 #[test]
 fn deterministic_across_runs() {
     let run = || {
-        let mut e = SpecEngine::new(Arc::new(chain_app(5, 5)), SpecConfig::full(), 7);
+        let mut e = SpecEngine::new(SpecCore::new(
+            Arc::new(chain_app(5, 5)),
+            SpecConfig::full(),
+            7,
+        ));
         e.prewarm();
         e.run_single(fresh_input(&mut SimRng::seed(0)));
         e.run_single(fresh_input(&mut SimRng::seed(0))).as_micros()
@@ -424,7 +440,11 @@ fn deterministic_across_runs() {
 #[test]
 fn empty_fault_plan_is_bit_identical_to_disabled() {
     let run = |enable: bool| {
-        let mut e = SpecEngine::new(Arc::new(chain_app(5, 5)), SpecConfig::full(), 7);
+        let mut e = SpecEngine::new(SpecCore::new(
+            Arc::new(chain_app(5, 5)),
+            SpecConfig::full(),
+            7,
+        ));
         if enable {
             e.enable_faults(FaultPlan::none(), RetryPolicy::default());
         }
@@ -447,7 +467,11 @@ fn empty_fault_plan_is_bit_identical_to_disabled() {
 
 #[test]
 fn crash_faults_retry_and_recover() {
-    let mut e = SpecEngine::new(Arc::new(chain_app(5, 5)), SpecConfig::full(), 2);
+    let mut e = SpecEngine::new(SpecCore::new(
+        Arc::new(chain_app(5, 5)),
+        SpecConfig::full(),
+        2,
+    ));
     e.enable_faults(
         FaultPlan::none().with_container_crash(0.10),
         RetryPolicy::default().with_max_attempts(10),
@@ -467,7 +491,11 @@ fn crash_faults_retry_and_recover() {
 
 #[test]
 fn exhausted_retries_abort_with_failed_outcome() {
-    let mut e = SpecEngine::new(Arc::new(chain_app(3, 5)), SpecConfig::full(), 1);
+    let mut e = SpecEngine::new(SpecCore::new(
+        Arc::new(chain_app(3, 5)),
+        SpecConfig::full(),
+        1,
+    ));
     e.enable_faults(
         FaultPlan::none().with_container_crash(1.0),
         RetryPolicy::default().with_max_attempts(2),
@@ -486,7 +514,11 @@ fn exhausted_retries_abort_with_failed_outcome() {
 
 #[test]
 fn kv_faults_retry_at_storage_level() {
-    let mut e = SpecEngine::new(Arc::new(raw_dependence_app()), SpecConfig::full(), 1);
+    let mut e = SpecEngine::new(SpecCore::new(
+        Arc::new(raw_dependence_app()),
+        SpecConfig::full(),
+        1,
+    ));
     e.enable_faults(
         FaultPlan::none().with_kv_get(0.3).with_kv_set(0.3),
         RetryPolicy::default().with_max_attempts(10),
@@ -503,7 +535,11 @@ fn kv_faults_retry_at_storage_level() {
 
 #[test]
 fn hang_without_timeout_aborts_on_drain_instead_of_panicking() {
-    let mut e = SpecEngine::new(Arc::new(chain_app(3, 5)), SpecConfig::full(), 1);
+    let mut e = SpecEngine::new(SpecCore::new(
+        Arc::new(chain_app(3, 5)),
+        SpecConfig::full(),
+        1,
+    ));
     e.enable_faults(FaultPlan::none().with_hang(1.0), RetryPolicy::default());
     e.prewarm();
     // The first handler wedges forever; with no invocation timeout the
@@ -517,7 +553,11 @@ fn hang_without_timeout_aborts_on_drain_instead_of_panicking() {
 
 #[test]
 fn watchdog_detects_hangs_and_retries() {
-    let mut e = SpecEngine::new(Arc::new(chain_app(3, 5)), SpecConfig::full(), 1);
+    let mut e = SpecEngine::new(SpecCore::new(
+        Arc::new(chain_app(3, 5)),
+        SpecConfig::full(),
+        1,
+    ));
     // Hang only in a window covering the first execution; the retry
     // runs after the window closes and succeeds.
     e.enable_faults(
@@ -538,7 +578,11 @@ fn watchdog_detects_hangs_and_retries() {
 
 #[test]
 fn slot_drops_only_delay_speculation() {
-    let mut e = SpecEngine::new(Arc::new(chain_app(5, 5)), SpecConfig::full(), 2);
+    let mut e = SpecEngine::new(SpecCore::new(
+        Arc::new(chain_app(5, 5)),
+        SpecConfig::full(),
+        2,
+    ));
     e.enable_faults(
         FaultPlan::none().with_slot_drop(1.0),
         RetryPolicy::default(),
@@ -557,7 +601,11 @@ fn slot_drops_only_delay_speculation() {
 #[test]
 fn fault_timeline_is_deterministic_per_seed() {
     let run = || {
-        let mut e = SpecEngine::new(Arc::new(chain_app(5, 5)), SpecConfig::full(), 11);
+        let mut e = SpecEngine::new(SpecCore::new(
+            Arc::new(chain_app(5, 5)),
+            SpecConfig::full(),
+            11,
+        ));
         e.enable_faults(
             FaultPlan::none()
                 .with_container_crash(0.15)
@@ -652,7 +700,7 @@ fn wide_join_expected(width: usize, v: i64, g: i64) -> i64 {
 fn wide_join_commits_branches_in_declaration_order() {
     let width = 6;
     let app = Arc::new(wide_join_app(width));
-    let mut e = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 1);
+    let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 1));
     e.prewarm();
     e.kv.set("probe", Value::Int(100));
     e.run_single(Value::map([("v", Value::Int(3))]));
@@ -684,7 +732,7 @@ fn wide_join_commits_branches_in_declaration_order() {
 #[test]
 fn wide_join_memo_rows_learned_at_commit_only() {
     let app = Arc::new(wide_join_app(4));
-    let mut e = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 1);
+    let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 1));
     e.prewarm();
     e.kv.set("probe", Value::Int(1));
     assert_eq!(e.memos().total_entries(), 0);
@@ -709,7 +757,7 @@ fn wide_join_memo_rows_learned_at_commit_only() {
 fn stale_probe_invalidates_join_memo_and_cascades() {
     let width = 4;
     let app = Arc::new(wide_join_app(width));
-    let mut e = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 1);
+    let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 1));
     e.prewarm();
     e.kv.set("probe", Value::Int(1));
     // Train: the join's memo row now predicts a sum that embeds probe=1.
@@ -753,7 +801,7 @@ fn wide_join_final_state_matches_baseline() {
     let app = Arc::new(wide_join_app(5));
     let inputs: Vec<Value> = (0..8).map(|v| Value::map([("v", Value::Int(v))])).collect();
 
-    let mut base = BaselineEngine::new(Arc::clone(&app), 7);
+    let mut base = BaselineEngine::new(BaselineCore::new(Arc::clone(&app), 7));
     base.prewarm();
     base.kv.set("probe", Value::Int(9));
     for i in &inputs {
@@ -761,7 +809,7 @@ fn wide_join_final_state_matches_baseline() {
     }
     let mb = base.run_closed(0, fresh_input);
 
-    let mut spec = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 7);
+    let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 7));
     spec.prewarm();
     spec.kv.set("probe", Value::Int(9));
     for i in &inputs {

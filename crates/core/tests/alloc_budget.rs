@@ -12,7 +12,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use specfaas_apps::trainticket::ticket_app;
-use specfaas_core::{SpecConfig, SpecEngine};
+use specfaas_core::{SpecConfig, SpecCore, SpecEngine};
 use specfaas_sim::{SimDuration, SimRng};
 
 /// Counts `alloc`, `alloc_zeroed` and `realloc` calls made on a thread
@@ -68,7 +68,11 @@ const CLIENTS: u32 = 32;
 #[test]
 fn trained_closed_loop_stays_within_allocation_budget() {
     let bundle = ticket_app();
-    let mut engine = SpecEngine::new(Arc::clone(&bundle.app), SpecConfig::full(), SEED);
+    let mut engine = SpecEngine::new(SpecCore::new(
+        Arc::clone(&bundle.app),
+        SpecConfig::full(),
+        SEED,
+    ));
     engine.prewarm();
     (bundle.seed)(&mut engine.kv, &mut SimRng::seed(SEED ^ 0x5eed));
     let gen = Arc::clone(&bundle.make_input);

@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 
-use specfaas_core::{SpecConfig, SpecEngine, SquashMechanism};
-use specfaas_platform::BaselineEngine;
+use specfaas_core::{SpecConfig, SpecCore, SpecEngine, SquashMechanism};
+use specfaas_platform::{BaselineCore, BaselineEngine};
 use specfaas_sim::{SimDuration, SimRng};
 use specfaas_storage::Value;
 use specfaas_workflow::expr::*;
@@ -65,7 +65,7 @@ fn loop_workflow_correct_on_baseline_and_spec() {
     let app = loop_app();
     for n in [0i64, 1, 3, 5] {
         let input = Value::map([("n", Value::Int(n))]);
-        let mut base = BaselineEngine::new(Arc::clone(&app), 1);
+        let mut base = BaselineEngine::new(BaselineCore::new(Arc::clone(&app), 1));
         base.prewarm();
         base.run_single(input.clone());
         assert_eq!(
@@ -74,7 +74,7 @@ fn loop_workflow_correct_on_baseline_and_spec() {
             "baseline loop n={n}"
         );
 
-        let mut spec = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 1);
+        let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 1));
         spec.prewarm();
         spec.run_single(input.clone());
         spec.run_single(input); // speculated (loop unrolled from memo)
@@ -89,7 +89,7 @@ fn loop_workflow_correct_on_baseline_and_spec() {
 #[test]
 fn loop_iteration_count_change_squashes_and_recovers() {
     let app = loop_app();
-    let mut spec = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 2);
+    let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 2));
     spec.prewarm();
     // Train with n=3 (loop runs 3 times)...
     for _ in 0..4 {
@@ -122,7 +122,7 @@ fn deep_chain_hits_depth_limit_but_stays_correct() {
     ));
     let mut cfg = SpecConfig::full();
     cfg.max_depth = 6; // far below the chain length
-    let mut spec = SpecEngine::new(Arc::clone(&app), cfg, 3);
+    let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), cfg, 3));
     spec.prewarm();
     spec.run_single(Value::map([("v", Value::Int(0))]));
     spec.run_single(Value::map([("v", Value::Int(0))]));
@@ -157,7 +157,7 @@ fn interleaved_requests_do_not_cross_speculate() {
         reg,
         Workflow::sequence(vec![Workflow::task("writer"), Workflow::task("reader")]),
     ));
-    let mut spec = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 4);
+    let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 4));
     spec.prewarm();
     // Train both tags.
     spec.run_single(Value::map([("tag", Value::Int(1))]));
@@ -191,7 +191,7 @@ fn determinism_per_squash_mechanism() {
             let app = loop_app();
             let mut cfg = SpecConfig::full();
             cfg.squash = squash;
-            let mut e = SpecEngine::new(app, cfg, seed);
+            let mut e = SpecEngine::new(SpecCore::new(app, cfg, seed));
             e.prewarm();
             let mut total = 0u64;
             for n in [3i64, 5, 3, 2, 5] {
@@ -236,7 +236,7 @@ fn container_kill_makes_squashes_expensive() {
     let run_with = |squash: SquashMechanism| {
         let mut cfg = SpecConfig::full();
         cfg.squash = squash;
-        let mut e = SpecEngine::new(Arc::clone(&app), cfg, 5);
+        let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), cfg, 5));
         // Only ONE warm container per function: destruction hurts.
         let funcs: Vec<_> = app.registry.iter().map(|(id, _)| id).collect();
         e.cluster.prewarm_all(funcs, 1);
@@ -276,7 +276,7 @@ fn error_in_function_body_fails_gracefully() {
         reg,
         Workflow::sequence(vec![Workflow::task("bad"), Workflow::task("after")]),
     ));
-    let mut e = SpecEngine::new(app, SpecConfig::full(), 6);
+    let mut e = SpecEngine::new(SpecCore::new(app, SpecConfig::full(), 6));
     e.prewarm();
     // Division by zero inside `bad`: the invocation must still complete
     // (error document propagates) rather than hang.
@@ -300,7 +300,7 @@ fn stmt_level_loop_limit_is_contained() {
             .ret(lit("unreachable")),
     ));
     let app = Arc::new(AppSpec::new("Spin", "Test", reg, Workflow::task("spinner")));
-    let mut e = SpecEngine::new(app, SpecConfig::full(), 7);
+    let mut e = SpecEngine::new(SpecCore::new(app, SpecConfig::full(), 7));
     e.prewarm();
     let d = e.run_single(Value::Null);
     // Runs 5 iterations then errors out; must terminate promptly.

@@ -11,6 +11,10 @@
 //!   recorder, time-series registry, run metrics and open/closed-loop
 //!   generation state. It is embedded *inside* each core so engine code
 //!   accesses it as plain fields — no virtual dispatch on hot paths.
+//!   Engines report every counted occurrence through one
+//!   [`Runtime::record`] call, which feeds the registry counters, the
+//!   heavy-hitter sketches, the event-mirroring [`RunMetrics`] counters
+//!   and the flight recorder from a single `match`.
 //! * [`EngineCore`] — the per-request admit/dispatch/drain semantics a
 //!   concrete engine must provide: admit one request, dispatch one event,
 //!   report/abort live requests.
@@ -30,6 +34,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use specfaas_sim::timeseries::{GaugeHandle, MetricsRegistry, SnapshotLog};
 use specfaas_sim::trace::{TraceEventKind, Tracer};
@@ -57,6 +62,8 @@ pub type InputGen = Box<dyn FnMut(&mut SimRng) -> Value>;
 /// it as `self.rt.…`; the [`Harness`] reaches it through
 /// [`EngineCore::rt`]/[`EngineCore::rt_mut`].
 pub struct Runtime<Ev> {
+    /// The application under test.
+    pub app: Arc<AppSpec>,
     /// The discrete-event simulator: clock + event queue.
     pub sim: Simulator<Ev>,
     /// Workload randomness (request inputs, arrival gaps, interpreter
@@ -126,10 +133,11 @@ pub struct Runtime<Ev> {
 }
 
 impl<Ev> Runtime<Ev> {
-    /// Fresh runtime on the paper's 5-node testbed, seeded with `seed`;
-    /// faults, tracer and registry all start disabled.
-    pub fn new(seed: u64) -> Self {
+    /// Fresh runtime for `app` on the paper's 5-node testbed, seeded with
+    /// `seed`; faults, tracer and registry all start disabled.
+    pub fn new(app: Arc<AppSpec>, seed: u64) -> Self {
         Runtime {
+            app,
             sim: Simulator::new(),
             rng: SimRng::seed(seed),
             cluster: Cluster::paper_testbed(),
@@ -174,9 +182,87 @@ impl<Ev> Runtime<Ev> {
         id
     }
 
-    /// Adds `amount` to the squashed-CPU ledger, mirroring the charge in
-    /// the trace (as a [`TraceEventKind::SquashCharge`]) and the metrics
-    /// registry so both reconcile exactly with [`RunMetrics`].
+    /// Records one occurrence in every instrument that counts it, then in
+    /// the flight recorder. This `match` is the only place an event is
+    /// mapped to its registry counter, heavy-hitter sketch and
+    /// [`RunMetrics`] field, so counters and traces agree by construction
+    /// (DESIGN.md §9 has the table). [`TraceEventKind::Span`] feeds no
+    /// counter: emit spans straight into [`Runtime::tracer`].
+    #[inline]
+    pub fn record(&mut self, at: SimTime, ev: TraceEventKind) {
+        match ev {
+            TraceEventKind::RequestArrival { .. } => {
+                self.metrics.submitted += 1;
+                self.registry.inc("specfaas_requests_submitted_total");
+            }
+            TraceEventKind::SlotLaunch { func, .. } => {
+                self.metrics.functions_started += 1;
+                self.registry.inc("specfaas_functions_started_total");
+                self.topk_by_function("specfaas_requests_by_function", func, 1);
+            }
+            TraceEventKind::ContainerAcquire { cold, .. } => self.registry.inc(if cold {
+                "specfaas_cold_starts_total"
+            } else {
+                "specfaas_warm_starts_total"
+            }),
+            TraceEventKind::MemoHit { .. } => self.registry.inc("specfaas_memo_hits_total"),
+            TraceEventKind::BranchPredict { .. } => {
+                self.registry.inc("specfaas_branch_predictions_total")
+            }
+            TraceEventKind::Squash { cause, .. } => {
+                self.registry
+                    .inc_labeled("specfaas_squashes_total", "cause", cause.name())
+            }
+            TraceEventKind::SquashCharge { func, amount, .. } => {
+                self.metrics.squashed_core_time += amount;
+                self.registry
+                    .inc_by("specfaas_squashed_core_us_total", amount.as_micros());
+                self.topk_by_function(
+                    "specfaas_wasted_core_us_by_function",
+                    func,
+                    amount.as_micros(),
+                );
+            }
+            TraceEventKind::FaultInjected { site, .. } => {
+                let f = &mut self.metrics.faults;
+                // A watchdog timeout reacts to an injected hang; it is not
+                // an injection of its own.
+                if site == "timeout" {
+                    f.timeouts += 1;
+                } else {
+                    f.injected += 1;
+                    match site {
+                        "container_crash" => f.crashes += 1,
+                        "hang" => f.hangs += 1,
+                        "slot_drop" => f.slot_drops += 1,
+                        "kv_get" | "kv_set" => f.kv_errors += 1,
+                        _ => {}
+                    }
+                }
+                self.registry
+                    .inc_labeled("specfaas_faults_injected_total", "site", site);
+            }
+            TraceEventKind::Commit { .. } => self.registry.inc("specfaas_commits_total"),
+            TraceEventKind::Terminal { completed, .. } => self.registry.inc(if completed {
+                "specfaas_requests_completed_total"
+            } else {
+                "specfaas_requests_failed_total"
+            }),
+            TraceEventKind::Span { .. }
+            | TraceEventKind::BranchResolve { .. }
+            | TraceEventKind::Replay { .. }
+            | TraceEventKind::RetryBackoff { .. } => {}
+        }
+        // Checked here, inline, so an untraced run never builds the event.
+        if self.tracer.enabled() {
+            self.tracer.emit(at, ev);
+        }
+    }
+
+    /// Charges `amount` to the Table-IV squashed-CPU ledger through a
+    /// [`TraceEventKind::SquashCharge`], so post-hoc attribution
+    /// reconciles exactly with [`RunMetrics::squashed_core_time`].
+    /// Zero-amount charges are ledger no-ops and record nothing.
     pub fn charge_squashed(
         &mut self,
         req: u64,
@@ -188,22 +274,30 @@ impl<Ev> Runtime<Ev> {
         if amount == SimDuration::ZERO {
             return;
         }
-        self.metrics.squashed_core_time += amount;
-        if self.tracer.enabled() {
-            let now = self.sim.now();
-            self.tracer.emit(
-                now,
-                TraceEventKind::SquashCharge {
-                    req,
-                    func: func.0,
-                    site,
-                    cascade,
-                    amount,
-                },
-            );
+        let now = self.sim.now();
+        self.record(
+            now,
+            TraceEventKind::SquashCharge {
+                req,
+                func: func.0,
+                site,
+                cascade,
+                amount,
+            },
+        );
+    }
+
+    /// Counts a KV operation issued now that completes at `done_at`, and
+    /// tracks it for the outstanding-ops gauge while the registry records.
+    pub fn kv_issued(&mut self, done_at: SimTime, write: bool) {
+        self.registry.inc(if write {
+            "specfaas_kv_writes_total"
+        } else {
+            "specfaas_kv_reads_total"
+        });
+        if self.registry.enabled() {
+            self.kv_pending.push(Reverse(done_at));
         }
-        self.registry
-            .inc_by("specfaas_squashed_core_us_total", amount.as_micros());
     }
 
     /// Records a completed request into [`RunMetrics`] *and* the
@@ -229,26 +323,21 @@ impl<Ev> Runtime<Ev> {
         self.metrics.record_completion(rec);
     }
 
-    /// Adds `weight` for function `func` of `app` to the registry
-    /// heavy-hitter sketch `name`, keyed `"<app>/<function>"`. No-op —
-    /// and allocation-free — when the registry is disabled or the
-    /// function id is the `u32::MAX` sentinel some abort paths carry.
-    pub fn topk_by_function(
-        &mut self,
-        name: &'static str,
-        app: &AppSpec,
-        func: FuncId,
-        weight: u64,
-    ) {
-        if !self.registry.enabled() || func.0 == u32::MAX {
+    /// Adds `weight` for function `func` to the registry heavy-hitter
+    /// sketch `name`, keyed `"<app>/<function>"`. No-op — and
+    /// allocation-free — when the registry is disabled or the function id
+    /// is the `u32::MAX` sentinel some abort paths carry.
+    fn topk_by_function(&mut self, name: &'static str, func: u32, weight: u64) {
+        if !self.registry.enabled() || func == u32::MAX {
             return;
         }
-        let idx = func.0 as usize;
+        let idx = func as usize;
         if self.topk_keys.len() <= idx {
             self.topk_keys.resize(idx + 1, String::new());
         }
         if self.topk_keys[idx].is_empty() {
-            self.topk_keys[idx] = format!("{}/{}", app.name, app.registry.name(func));
+            let app = &self.app;
+            self.topk_keys[idx] = format!("{}/{}", app.name, app.registry.name(FuncId(func)));
         }
         self.registry.topk_add(name, &self.topk_keys[idx], weight);
     }
@@ -335,9 +424,6 @@ pub trait EngineCore {
 
     /// Shared runtime state (mutable).
     fn rt_mut(&mut self) -> &mut Runtime<Self::Ev>;
-
-    /// The application under test.
-    fn app(&self) -> &AppSpec;
 
     /// The engine's open-loop arrival event (scheduled by the harness to
     /// start generation, re-armed by [`handle_arrival`]).
@@ -465,13 +551,13 @@ impl<E: EngineCore> Harness<E> {
 
     /// The application under test.
     pub fn app(&self) -> &AppSpec {
-        self.core.app()
+        &self.core.rt().app
     }
 
     /// Pre-warms containers for every function of the app on every node
     /// (the default warmed-up environment, §IV).
     pub fn prewarm(&mut self) {
-        let funcs: Vec<FuncId> = self.core.app().registry.iter().map(|(id, _)| id).collect();
+        let funcs: Vec<FuncId> = self.app().registry.iter().map(|(id, _)| id).collect();
         // §IV: the paper assumes function start-up overheads have been
         // removed by prior cold-start work, so the warm pool must cover
         // the offered concurrency even under speculative fan-out.
@@ -580,8 +666,8 @@ impl<E: EngineCore> Harness<E> {
     /// perturb the Prometheus export). Call after a load driver returns
     /// and before [`Harness::take_registry`].
     pub fn scoreboard(&self, engine: &'static str, metrics: &RunMetrics) -> ScoreboardRow {
-        let app = self.core.app();
         let rt = self.core.rt();
+        let app = &rt.app;
         let mut row = ScoreboardRow::build(&app.name, engine, metrics, &rt.registry);
         row.evictions = rt.cluster.evictions();
         row.func_containers = rt

@@ -37,6 +37,10 @@ pub struct FaultStats {
     /// Watchdog timeouts that fired on a live invocation.
     pub timeouts: u64,
     /// Retry attempts scheduled (function-level and storage-level).
+    /// The speculative engine's relaunch of a dropped slot is a
+    /// redispatch and is not counted here, though it traces a
+    /// `RetryBackoff`; on speculative runs `retried + slot_drops` equals
+    /// the `RetryBackoff` count.
     pub retried: u64,
     /// Speculative slots squashed because an earlier function faulted.
     pub squashed_due_to_fault: u64,

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use specfaas_platform::BaselineEngine;
+use specfaas_platform::{BaselineCore, BaselineEngine};
 use specfaas_sim::{SimDuration, SimRng};
 use specfaas_storage::Value;
 use specfaas_workflow::expr::*;
@@ -34,7 +34,7 @@ fn response_time_scales_linearly_with_chain_length() {
     let times: Vec<f64> = [2usize, 4, 8]
         .iter()
         .map(|n| {
-            let mut e = BaselineEngine::new(chain(*n, 8), 1);
+            let mut e = BaselineEngine::new(BaselineCore::new(chain(*n, 8), 1));
             e.prewarm();
             e.run_single(Value::Null).as_millis_f64()
         })
@@ -51,7 +51,7 @@ fn response_time_scales_linearly_with_chain_length() {
 fn observation1_overhead_dominates_warm_execution() {
     // With 8ms functions the baseline spends more time on platform +
     // transfer than on execution, per Observation 1.
-    let mut e = BaselineEngine::new(chain(6, 8), 2);
+    let mut e = BaselineEngine::new(BaselineCore::new(chain(6, 8), 2));
     e.prewarm();
     e.run_single(Value::Null);
     let total_exec = 6.0 * 8.0;
@@ -66,7 +66,7 @@ fn observation1_overhead_dominates_warm_execution() {
 #[test]
 fn open_loop_latency_grows_with_load() {
     let measure = |rps: f64| {
-        let mut e = BaselineEngine::new(chain(6, 8), 3);
+        let mut e = BaselineEngine::new(BaselineCore::new(chain(6, 8), 3));
         e.prewarm();
         e.run_open(
             rps,
@@ -88,7 +88,7 @@ fn open_loop_latency_grows_with_load() {
 fn closed_loop_self_throttles_at_saturation() {
     // A client pool far beyond capacity must still produce finite,
     // stable latencies (no unbounded queue).
-    let mut e = BaselineEngine::new(chain(6, 8), 4);
+    let mut e = BaselineEngine::new(BaselineCore::new(chain(6, 8), 4));
     e.prewarm();
     let m = e.run_concurrent(
         200,
@@ -109,7 +109,7 @@ fn closed_loop_self_throttles_at_saturation() {
 #[test]
 fn cold_start_only_once_per_container() {
     let app = chain(3, 5);
-    let mut e = BaselineEngine::new(Arc::clone(&app), 5);
+    let mut e = BaselineEngine::new(BaselineCore::new(Arc::clone(&app), 5));
     // No prewarm: 3 cold starts, then warm reuse.
     e.run_single(Value::Null);
     assert_eq!(e.cluster.cold_starts(), 3);

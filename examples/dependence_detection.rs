@@ -42,7 +42,7 @@ fn main() {
 
     let mut cfg = SpecConfig::full();
     cfg.stall_after_squashes = 2;
-    let mut spec = SpecEngine::new(Arc::clone(&app), cfg, 11);
+    let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), cfg, 11));
     spec.prewarm();
     spec.kv.set("inventory", Value::Int(100));
 

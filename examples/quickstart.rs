@@ -50,7 +50,7 @@ fn main() {
 
     // 2. Conventional execution: each function waits for its
     //    predecessor, paying platform + conductor overheads in between.
-    let mut baseline = BaselineEngine::new(Arc::clone(&app), 42);
+    let mut baseline = BaselineEngine::new(BaselineCore::new(Arc::clone(&app), 42));
     baseline.prewarm();
     baseline.kv.set("config", Value::Int(2));
     let base_time = baseline.run_single(request.clone());
@@ -60,7 +60,7 @@ fn main() {
     // 3. SpecFaaS: the same requests with speculative execution. The
     //    first request trains the branch predictor and memoization
     //    tables; later identical requests overlap all three functions.
-    let mut spec = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 42);
+    let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 42));
     spec.prewarm();
     spec.kv.set("config", Value::Int(2));
     spec.run_single(request.clone()); // training invocation

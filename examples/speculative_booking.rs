@@ -25,7 +25,7 @@ fn main() {
     let warmup = SimDuration::from_millis(400);
 
     // Baseline under a 100-requests/second Poisson load.
-    let mut base = BaselineEngine::new(Arc::clone(&bundle.app), 7);
+    let mut base = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), 7));
     base.prewarm();
     let mut rng = SimRng::seed(7);
     (bundle.seed)(&mut base.kv, &mut rng);
@@ -33,7 +33,11 @@ fn main() {
     let mut mb = base.run_open(100.0, duration, warmup, move |r| gen(r));
 
     // SpecFaaS, trained on 300 prior invocations, same load.
-    let mut spec = SpecEngine::new(Arc::clone(&bundle.app), SpecConfig::full(), 7);
+    let mut spec = SpecEngine::new(SpecCore::new(
+        Arc::clone(&bundle.app),
+        SpecConfig::full(),
+        7,
+    ));
     spec.prewarm();
     let mut rng = SimRng::seed(7);
     (bundle.seed)(&mut spec.kv, &mut rng);

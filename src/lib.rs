@@ -46,11 +46,11 @@
 //! let app = Arc::new(AppSpec::new("Demo", "Docs", reg, wf));
 //!
 //! // Baseline vs SpecFaaS (trained on one prior request).
-//! let mut base = BaselineEngine::new(Arc::clone(&app), 1);
+//! let mut base = BaselineEngine::new(BaselineCore::new(Arc::clone(&app), 1));
 //! base.prewarm();
 //! let b = base.run_single(Value::map([("v", Value::Int(20))]));
 //!
-//! let mut spec = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 1);
+//! let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 1));
 //! spec.prewarm();
 //! spec.run_single(Value::map([("v", Value::Int(20))]));
 //! let s = spec.run_single(Value::map([("v", Value::Int(20))]));
@@ -67,8 +67,8 @@ pub use specfaas_workflow as workflow;
 /// The items needed for typical use: building applications, running the
 /// baseline and SpecFaaS engines, and inspecting results.
 pub mod prelude {
-    pub use specfaas_core::{SpecConfig, SpecEngine, SquashMechanism};
-    pub use specfaas_platform::{BaselineEngine, Load, RunMetrics};
+    pub use specfaas_core::{SpecConfig, SpecCore, SpecEngine, SquashMechanism};
+    pub use specfaas_platform::{BaselineCore, BaselineEngine, Load, RunMetrics};
     pub use specfaas_sim::{FaultPlan, FaultSite, RetryPolicy, SimDuration, SimRng, SimTime};
     pub use specfaas_storage::{KvStore, Value};
     pub use specfaas_workflow::expr::*;

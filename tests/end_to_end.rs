@@ -38,11 +38,11 @@ fn speculative_execution_preserves_program_semantics() {
     let app = audit_chain(6);
     let input = Value::map([("v", Value::Int(5))]);
 
-    let mut base = BaselineEngine::new(Arc::clone(&app), 3);
+    let mut base = BaselineEngine::new(BaselineCore::new(Arc::clone(&app), 3));
     base.prewarm();
     base.run_single(input.clone());
 
-    let mut spec = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 3);
+    let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 3));
     spec.prewarm();
     // Two speculative runs (first trains, second speculates heavily).
     spec.run_single(input.clone());
@@ -63,7 +63,7 @@ fn speculative_execution_preserves_program_semantics() {
 fn speculation_gets_faster_with_training_and_never_wrong() {
     let app = audit_chain(8);
     let input = Value::map([("v", Value::Int(9))]);
-    let mut spec = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 5);
+    let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 5));
     spec.prewarm();
     let first = spec.run_single(input.clone());
     let second = spec.run_single(input.clone());
@@ -90,14 +90,18 @@ fn all_16_paper_apps_agree_between_engines() {
             let mut rng = SimRng::seed(77);
             let input = (bundle.make_input)(&mut rng);
 
-            let mut base = BaselineEngine::new(Arc::clone(&bundle.app), 9);
+            let mut base = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), 9));
             base.prewarm();
             let mut srng = SimRng::seed(9);
             (bundle.seed)(&mut base.kv, &mut srng);
             base.run_single(input.clone());
             let mb = base.run_closed(0, |_| Value::Null);
 
-            let mut spec = SpecEngine::new(Arc::clone(&bundle.app), SpecConfig::full(), 9);
+            let mut spec = SpecEngine::new(SpecCore::new(
+                Arc::clone(&bundle.app),
+                SpecConfig::full(),
+                9,
+            ));
             spec.prewarm();
             let mut srng = SimRng::seed(9);
             (bundle.seed)(&mut spec.kv, &mut srng);
@@ -121,7 +125,7 @@ fn ablation_configs_order_sanely_on_a_chain() {
     let app = audit_chain(8);
     let input = Value::map([("v", Value::Int(2))]);
     let time_with = |cfg: SpecConfig| {
-        let mut e = SpecEngine::new(Arc::clone(&app), cfg, 13);
+        let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), cfg, 13));
         e.prewarm();
         for _ in 0..2 {
             e.run_single(input.clone());
@@ -161,7 +165,7 @@ fn non_speculative_annotation_is_honoured_end_to_end() {
         reg,
         Workflow::sequence(vec![Workflow::task("a"), Workflow::task("external")]),
     ));
-    let mut spec = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 21);
+    let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 21));
     spec.prewarm();
     spec.run_single(Value::Null);
     spec.run_single(Value::Null);
@@ -207,7 +211,7 @@ fn spec_under_survivable_faults_matches_fault_free_baseline_state() {
             let mut rng = SimRng::seed(0xFA);
             let inputs: Vec<Value> = (0..3).map(|_| (bundle.make_input)(&mut rng)).collect();
 
-            let mut base = BaselineEngine::new(Arc::clone(&bundle.app), 9);
+            let mut base = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), 9));
             base.prewarm();
             let mut srng = SimRng::seed(9);
             (bundle.seed)(&mut base.kv, &mut srng);
@@ -222,7 +226,11 @@ fn spec_under_survivable_faults_matches_fault_free_baseline_state() {
                 bundle.name()
             );
 
-            let mut spec = SpecEngine::new(Arc::clone(&bundle.app), SpecConfig::full(), 9);
+            let mut spec = SpecEngine::new(SpecCore::new(
+                Arc::clone(&bundle.app),
+                SpecConfig::full(),
+                9,
+            ));
             spec.enable_faults(survivable_plan(), generous_retries());
             spec.prewarm();
             let mut srng = SimRng::seed(9);
@@ -257,7 +265,7 @@ fn baseline_under_survivable_faults_matches_fault_free_state() {
             let inputs: Vec<Value> = (0..3).map(|_| (bundle.make_input)(&mut rng)).collect();
 
             let run = |faulty: bool| {
-                let mut e = BaselineEngine::new(Arc::clone(&bundle.app), 9);
+                let mut e = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), 9));
                 if faulty {
                     e.enable_faults(survivable_plan(), generous_retries());
                 }
@@ -289,7 +297,7 @@ fn exhausted_retries_fail_terminally_without_panicking() {
     let app = audit_chain(4);
     for spec_engine in [false, true] {
         let (failed, live) = if spec_engine {
-            let mut e = SpecEngine::new(Arc::clone(&app), SpecConfig::full(), 7);
+            let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 7));
             e.enable_faults(
                 FaultPlan::none().with_container_crash(1.0),
                 RetryPolicy::default().with_max_attempts(2),
@@ -300,7 +308,7 @@ fn exhausted_retries_fail_terminally_without_panicking() {
             let m = e.run_closed(0, |_| Value::Null);
             (m.failed, m.records.len())
         } else {
-            let mut e = BaselineEngine::new(Arc::clone(&app), 7);
+            let mut e = BaselineEngine::new(BaselineCore::new(Arc::clone(&app), 7));
             e.enable_faults(
                 FaultPlan::none().with_container_crash(1.0),
                 RetryPolicy::default().with_max_attempts(2),
@@ -358,7 +366,7 @@ fn squash_mechanisms_all_converge_to_correct_state() {
         ));
         let mut cfg = SpecConfig::full();
         cfg.squash = squash;
-        let mut e = SpecEngine::new(Arc::clone(&app), cfg, 31);
+        let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), cfg, 31));
         e.prewarm();
         for _ in 0..4 {
             e.run_single(Value::map([("flag", Value::Bool(true))]));

@@ -229,8 +229,8 @@ fn online_stats_merge_associative() {
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use specfaas::platform::{BaselineEngine, FaultStats, RunMetrics};
-use specfaas::prelude::{FaultPlan, RetryPolicy, SpecConfig, SpecEngine};
+use specfaas::platform::{BaselineCore, BaselineEngine, FaultStats, RunMetrics};
+use specfaas::prelude::{FaultPlan, RetryPolicy, SpecConfig, SpecCore, SpecEngine};
 use specfaas::storage::KvStore;
 
 fn kv_map(kv: &KvStore) -> BTreeMap<String, Value> {
@@ -280,7 +280,11 @@ fn fault_injection_replays_identically_per_seed() {
         let bundle = bundles[case as usize % bundles.len()];
 
         let run_spec = || {
-            let mut e = SpecEngine::new(Arc::clone(&bundle.app), SpecConfig::full(), seed);
+            let mut e = SpecEngine::new(SpecCore::new(
+                Arc::clone(&bundle.app),
+                SpecConfig::full(),
+                seed,
+            ));
             e.enable_faults(plan.clone(), policy.clone());
             e.prewarm();
             let mut srng = SimRng::seed(seed ^ 1);
@@ -290,7 +294,7 @@ fn fault_injection_replays_identically_per_seed() {
             fingerprint(&m, &e.kv)
         };
         let run_base = || {
-            let mut e = BaselineEngine::new(Arc::clone(&bundle.app), seed);
+            let mut e = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), seed));
             e.enable_faults(plan.clone(), policy.clone());
             e.prewarm();
             let mut srng = SimRng::seed(seed ^ 1);
@@ -326,7 +330,11 @@ fn empty_fault_plan_never_perturbs_execution() {
         let seed = rng.uniform_u64(1 << 32);
         let bundle = bundles[case as usize % bundles.len()];
         let run = |faults: bool| {
-            let mut e = SpecEngine::new(Arc::clone(&bundle.app), SpecConfig::full(), seed);
+            let mut e = SpecEngine::new(SpecCore::new(
+                Arc::clone(&bundle.app),
+                SpecConfig::full(),
+                seed,
+            ));
             if faults {
                 e.enable_faults(FaultPlan::none(), RetryPolicy::default());
             }
