@@ -49,6 +49,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::hash::FxHashMap;
 use crate::hist::LogHistogram;
 use crate::time::{SimDuration, SimTime};
 use crate::topk::SpaceSaving;
@@ -83,7 +84,14 @@ pub struct GaugeHandle {
 struct RegistryInner {
     /// Generation stamp minted at construction (see [`REGISTRY_GEN`]).
     gen: u64,
-    counters: BTreeMap<Key, u64>,
+    /// Counter identity index in export order, into
+    /// [`RegistryInner::counter_vals`].
+    counter_index: BTreeMap<Key, usize>,
+    /// Unlabeled counters by name: the increment path's single hash
+    /// probe, in place of string comparisons down the ordered index.
+    unlabeled: FxHashMap<&'static str, usize>,
+    /// Counter totals, indexed by the two maps above.
+    counter_vals: Vec<u64>,
     /// Gauge *identity* index: label value (the only non-static key
     /// component) nested inside a `(name, label_key)` outer map, mapping
     /// to a slot in [`RegistryInner::gauge_series`]. The nesting lets the
@@ -103,12 +111,24 @@ impl RegistryInner {
     fn new() -> Self {
         RegistryInner {
             gen: REGISTRY_GEN.fetch_add(1, Ordering::Relaxed),
-            counters: BTreeMap::new(),
+            counter_index: BTreeMap::new(),
+            unlabeled: FxHashMap::default(),
+            counter_vals: Vec::new(),
             gauge_index: BTreeMap::new(),
             gauge_series: Vec::new(),
             histograms: BTreeMap::new(),
             topks: BTreeMap::new(),
         }
+    }
+
+    /// Slot of the counter `key` in [`RegistryInner::counter_vals`],
+    /// interning a zero total on first use.
+    fn intern_counter(&mut self, key: Key) -> usize {
+        let vals = &mut self.counter_vals;
+        *self.counter_index.entry(key).or_insert_with(|| {
+            vals.push(0);
+            vals.len() - 1
+        })
     }
 
     /// Slot of the gauge `name{label_key="label_value"}`, interning a
@@ -179,17 +199,23 @@ impl MetricsRegistry {
     /// Increments the unlabeled counter `name` by `by`.
     pub fn inc_by(&mut self, name: &'static str, by: u64) {
         if let Some(inner) = self.inner.as_deref_mut() {
-            *inner.counters.entry((name, "", String::new())).or_insert(0) += by;
+            let idx = match inner.unlabeled.get(name) {
+                Some(&idx) => idx,
+                None => {
+                    let idx = inner.intern_counter((name, "", String::new()));
+                    inner.unlabeled.insert(name, idx);
+                    idx
+                }
+            };
+            inner.counter_vals[idx] += by;
         }
     }
 
     /// Increments the counter `name{label_key="label_value"}` by `by`.
     pub fn inc_labeled(&mut self, name: &'static str, label_key: &'static str, label_value: &str) {
         if let Some(inner) = self.inner.as_deref_mut() {
-            *inner
-                .counters
-                .entry((name, label_key, label_value.to_string()))
-                .or_insert(0) += 1;
+            let idx = inner.intern_counter((name, label_key, label_value.to_string()));
+            inner.counter_vals[idx] += 1;
         }
     }
 
@@ -316,10 +342,10 @@ impl MetricsRegistry {
         self.inner
             .as_deref()
             .and_then(|i| {
-                i.counters
+                i.counter_index
                     .iter()
                     .find(|((n, lk, lv), _)| *n == name && *lk == label_key && lv == label_value)
-                    .map(|(_, v)| *v)
+                    .map(|(_, &idx)| i.counter_vals[idx])
             })
             .unwrap_or(0)
     }
@@ -355,12 +381,12 @@ impl MetricsRegistry {
         };
         let mut out = String::new();
         let mut last_name = "";
-        for ((name, lk, lv), value) in &inner.counters {
+        for ((name, lk, lv), &idx) in &inner.counter_index {
             if *name != last_name {
                 header(&mut out, name, "counter");
                 last_name = name;
             }
-            line(&mut out, name, lk, lv, *value);
+            line(&mut out, name, lk, lv, inner.counter_vals[idx]);
         }
         last_name = "";
         for ((name, lk), by_label) in &inner.gauge_index {
@@ -434,7 +460,8 @@ impl MetricsRegistry {
         if let Some(inner) = self.inner.as_deref() {
             out.push_str(", \"counters\": {");
             let mut first = true;
-            for ((name, lk, lv), value) in &inner.counters {
+            for ((name, lk, lv), &idx) in &inner.counter_index {
+                let value = inner.counter_vals[idx];
                 if !first {
                     out.push_str(", ");
                 }
@@ -679,6 +706,35 @@ mod tests {
         assert!(prom.contains("# TYPE specfaas_requests_submitted_total counter"));
         assert!(prom.contains("specfaas_requests_submitted_total 3"));
         assert!(prom.contains("specfaas_squashes_total{cause=\"wrong_path\"} 1"));
+    }
+
+    #[test]
+    fn counters_export_in_key_order_whatever_order_they_were_first_used() {
+        let mut r = MetricsRegistry::recording();
+        r.inc("c_total");
+        r.inc_labeled("b_total", "k", "y");
+        r.inc("a_total");
+        r.inc_labeled("b_total", "k", "x");
+        r.inc_by("c_total", 4);
+        r.inc_labeled("b_total", "", "");
+        r.inc("b_total");
+        let prom = r.export_prometheus();
+        let lines: Vec<&str> = prom.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(
+            lines,
+            [
+                "a_total 1",
+                "b_total 2",
+                "b_total{k=\"x\"} 1",
+                "b_total{k=\"y\"} 1",
+                "c_total 5"
+            ]
+        );
+        assert_eq!(
+            r.snapshot_json(SimTime::ZERO),
+            "{\"t_us\": 0, \"counters\": {\"a_total\": 1, \"b_total\": 2, \
+             \"b_total{k=x}\": 1, \"b_total{k=y}\": 1, \"c_total\": 5}, \"histograms\": {}}"
+        );
     }
 
     #[test]
