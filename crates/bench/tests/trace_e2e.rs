@@ -13,7 +13,7 @@
 //! * installing a disabled tracer leaves run metrics bit-identical.
 
 use specfaas_bench::runner::{prepared_baseline, prepared_spec, traced_closed};
-use specfaas_core::SpecConfig;
+use specfaas_core::{SpecConfig, SquashMechanism};
 use specfaas_platform::RunMetrics;
 use specfaas_sim::trace::{validate_json, Tracer};
 use specfaas_sim::{FaultPlan, RetryPolicy, SimDuration};
@@ -39,9 +39,17 @@ fn policy() -> RetryPolicy {
 /// Runs one traced speculative measurement pass and returns the tracer
 /// (with any recorded violations) plus the run metrics.
 fn traced_spec_run(bundle: &specfaas_apps::AppBundle) -> (Tracer, RunMetrics) {
+    traced_spec_run_with(bundle, SpecConfig::full())
+}
+
+/// [`traced_spec_run`] under an explicit speculation config.
+fn traced_spec_run_with(
+    bundle: &specfaas_apps::AppBundle,
+    config: SpecConfig,
+) -> (Tracer, RunMetrics) {
     let gen = bundle.make_input.clone();
     traced_closed(
-        &mut prepared_spec(bundle, SpecConfig::full(), SEED, TRAIN),
+        &mut prepared_spec(bundle, config, SEED, TRAIN),
         plan(),
         policy(),
         REQUESTS,
@@ -136,17 +144,31 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Pins the exported Chrome trace of HotelBooking and TcktApp on both
-/// engines under faults. The digests were taken before the engines'
-/// instrumentation moved behind `Runtime::record`; any change to event
-/// order, payload or export format moves them.
+/// engines under faults, and of the speculative engine under the lazy
+/// and container-kill squash mechanisms (orphan stepping, lazy kills and
+/// non-reusable container release have no other byte-level pin). The
+/// first four digests were taken before the engines' instrumentation
+/// moved behind `Runtime::record`, the rest before the instance
+/// lifecycle moved into `platform::exec`; any change to event order,
+/// payload or export format moves them. (With warm pools pre-filled, a
+/// container-kill run traces exactly like a process-kill one: discarding
+/// the killed containers never forces a cold start here.)
 #[test]
 fn chrome_trace_digests_are_pinned() {
-    let pinned: [(&str, &str, u64); 4] = [
+    let pinned: [(&str, &str, u64); 8] = [
         ("HotelBooking", "spec", 0x7046_e96a_52af_a5aa),
         ("HotelBooking", "baseline", 0xd51a_73d2_a120_3225),
         ("TcktApp", "spec", 0xacf6_3838_a23f_d8f0),
         ("TcktApp", "baseline", 0x70d8_a4fb_5486_956e),
+        ("HotelBooking", "spec-lazy", 0xbbab_e395_9e18_4d3a),
+        ("HotelBooking", "spec-container-kill", 0x7046_e96a_52af_a5aa),
+        ("TcktApp", "spec-lazy", 0xe78f_8b74_edea_0620),
+        ("TcktApp", "spec-container-kill", 0xacf6_3838_a23f_d8f0),
     ];
+    let squash = |squash| SpecConfig {
+        squash,
+        ..SpecConfig::full()
+    };
     let mut got = Vec::new();
     for (app, engine, _) in pinned {
         let bundle = match app {
@@ -156,6 +178,10 @@ fn chrome_trace_digests_are_pinned() {
         let gen = bundle.make_input.clone();
         let (tracer, _) = match engine {
             "spec" => traced_spec_run(&bundle),
+            "spec-lazy" => traced_spec_run_with(&bundle, squash(SquashMechanism::Lazy)),
+            "spec-container-kill" => {
+                traced_spec_run_with(&bundle, squash(SquashMechanism::ContainerKill))
+            }
             _ => traced_closed(
                 &mut prepared_baseline(&bundle, SEED),
                 plan(),
