@@ -194,6 +194,7 @@ impl UtilizationTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specfaas_platform::EngineCore;
 
     #[test]
     fn suite_shape_matches_table1() {
@@ -217,7 +218,7 @@ mod tests {
             let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 21));
             e.prewarm();
             let mut rng = SimRng::seed(6);
-            (bundle.seed)(&mut e.kv, &mut rng);
+            (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
             let d = e.run_single((bundle.make_input)(&mut rng));
             assert!(
                 d.as_millis() > 50,
@@ -235,7 +236,7 @@ mod tests {
         let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 23));
         e.prewarm();
         let mut rng = SimRng::seed(7);
-        (bundle.seed)(&mut e.kv, &mut rng);
+        (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
         let gen = bundle.make_input.clone();
         let m = e.run_closed(300, move |r| gen(r));
         let (_, share) = m.most_popular_sequence().unwrap();

@@ -13,6 +13,7 @@ use specfaas_workflow::analysis::SideEffects;
 use specfaas_workflow::Stmt;
 
 use crate::suite::Suite;
+use specfaas_platform::EngineCore;
 
 /// Table-I row for one suite.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -90,7 +91,7 @@ pub fn characterize_suite(suite: &Suite, seed: u64) -> SuiteCharacterization {
         let mut engine = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), seed));
         engine.prewarm();
         let mut rng = SimRng::seed(seed ^ 0x5eed);
-        (bundle.seed)(&mut engine.kv, &mut rng);
+        (bundle.seed)(&mut engine.rt_mut().kv, &mut rng);
         // One throwaway to settle caches, then measure.
         engine.run_single((bundle.make_input)(&mut rng));
         let d = engine.run_single((bundle.make_input)(&mut rng));

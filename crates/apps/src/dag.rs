@@ -506,6 +506,7 @@ pub fn finra_validate() -> AppBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specfaas_platform::EngineCore;
     use specfaas_sim::SimRng;
 
     #[test]
@@ -543,7 +544,7 @@ mod tests {
             let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 7));
             e.prewarm();
             let mut rng = SimRng::seed(1);
-            (bundle.seed)(&mut e.kv, &mut rng);
+            (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
             for _ in 0..3 {
                 let input = (bundle.make_input)(&mut rng);
                 let d = e.run_single(input);
@@ -563,7 +564,7 @@ mod tests {
             let mut e = SpecEngine::new(SpecCore::new(bundle.app.clone(), SpecConfig::full(), 7));
             e.prewarm();
             let mut rng = SimRng::seed(1);
-            (bundle.seed)(&mut e.kv, &mut rng);
+            (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
             for _ in 0..10 {
                 let input = (bundle.make_input)(&mut rng);
                 e.run_single(input);
@@ -583,7 +584,7 @@ mod tests {
         let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 3));
         e.prewarm();
         let mut rng = SimRng::seed(11);
-        (bundle.seed)(&mut e.kv, &mut rng);
+        (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
         let reject = bundle.app.registry.lookup("Reject").unwrap().0;
         let settle = bundle.app.registry.lookup("WriteSettlement").unwrap().0;
         for _ in 0..120 {

@@ -711,6 +711,7 @@ pub fn online_purchase() -> AppBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specfaas_platform::EngineCore;
     use specfaas_sim::SimRng;
     use specfaas_storage::KvStore;
 
@@ -762,7 +763,7 @@ mod tests {
             let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 7));
             e.prewarm();
             let mut rng = SimRng::seed(1);
-            (bundle.seed)(&mut e.kv, &mut rng);
+            (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
             for _ in 0..3 {
                 let input = (bundle.make_input)(&mut rng);
                 let d = e.run_single(input);
@@ -782,7 +783,7 @@ mod tests {
             let mut e = SpecEngine::new(SpecCore::new(bundle.app.clone(), SpecConfig::full(), 7));
             e.prewarm();
             let mut rng = SimRng::seed(1);
-            (bundle.seed)(&mut e.kv, &mut rng);
+            (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
             for _ in 0..10 {
                 let input = (bundle.make_input)(&mut rng);
                 e.run_single(input);
@@ -803,7 +804,7 @@ mod tests {
         let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 3));
         e.prewarm();
         let mut rng = SimRng::seed(5);
-        (bundle.seed)(&mut e.kv, &mut rng);
+        (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
         let mut m = Default::default();
         for _ in 0..200 {
             let input = (bundle.make_input)(&mut rng);

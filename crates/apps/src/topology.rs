@@ -251,6 +251,7 @@ pub fn random_bundle(seed: u64) -> AppBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specfaas_platform::EngineCore;
     use specfaas_sim::SimRng;
     use specfaas_workflow::EntryKind;
 
@@ -308,14 +309,14 @@ mod tests {
             let mut base = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 7));
             base.prewarm();
             let mut rng = SimRng::seed(1);
-            (bundle.seed)(&mut base.kv, &mut rng);
+            (bundle.seed)(&mut base.rt_mut().kv, &mut rng);
             base.run_single((bundle.make_input)(&mut rng));
 
             let mut spec =
                 SpecEngine::new(SpecCore::new(bundle.app.clone(), SpecConfig::full(), 7));
             spec.prewarm();
             let mut rng = SimRng::seed(1);
-            (bundle.seed)(&mut spec.kv, &mut rng);
+            (bundle.seed)(&mut spec.rt_mut().kv, &mut rng);
             for _ in 0..5 {
                 spec.run_single((bundle.make_input)(&mut rng));
             }

@@ -554,6 +554,7 @@ pub fn cancel_app() -> AppBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specfaas_platform::EngineCore;
     use specfaas_sim::SimRng;
     use specfaas_workflow::analysis::RegistryProfile;
 
@@ -595,7 +596,7 @@ mod tests {
             let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 11));
             e.prewarm();
             let mut rng = SimRng::seed(2);
-            (bundle.seed)(&mut e.kv, &mut rng);
+            (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
             let input = (bundle.make_input)(&mut rng);
             let d = e.run_single(input);
             assert!(
@@ -615,7 +616,7 @@ mod tests {
 
         let mut base = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 5));
         base.prewarm();
-        (bundle.seed)(&mut base.kv, &mut rng);
+        (bundle.seed)(&mut base.rt_mut().kv, &mut rng);
         let fixed_input = Value::map([
             ("route", Value::str("route:0")),
             ("date", Value::Int(1)),
@@ -626,7 +627,7 @@ mod tests {
         let mut spec = SpecEngine::new(SpecCore::new(bundle.app.clone(), SpecConfig::full(), 5));
         spec.prewarm();
         let mut rng2 = SimRng::seed(3);
-        (bundle.seed)(&mut spec.kv, &mut rng2);
+        (bundle.seed)(&mut spec.rt_mut().kv, &mut rng2);
         for _ in 0..3 {
             spec.run_single(fixed_input.clone());
         }
@@ -644,14 +645,14 @@ mod tests {
         let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 13));
         e.prewarm();
         let mut rng = SimRng::seed(4);
-        (bundle.seed)(&mut e.kv, &mut rng);
-        let before = e.kv.peek("seats:route:0").unwrap().as_int().unwrap();
+        (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
+        let before = e.rt().kv.peek("seats:route:0").unwrap().as_int().unwrap();
         e.run_single(Value::map([
             ("route", Value::str("route:0")),
             ("date", Value::Int(1)),
             ("fare", Value::Int(45)),
         ]));
-        let after = e.kv.peek("seats:route:0").unwrap().as_int().unwrap();
+        let after = e.rt().kv.peek("seats:route:0").unwrap().as_int().unwrap();
         assert_eq!(after, before - 1, "reserveSeat must decrement inventory");
     }
 }

@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use specfaas_bench::microbench::bench;
 use specfaas_core::{SpecConfig, SpecCore, SpecEngine};
+use specfaas_platform::EngineCore;
 use specfaas_platform::{BaselineCore, BaselineEngine};
 use specfaas_sim::SimRng;
 
@@ -19,7 +20,7 @@ fn bench_single_invocation() {
         let mut e = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), 1));
         e.prewarm();
         let mut rng = SimRng::seed(1);
-        (bundle.seed)(&mut e.kv, &mut rng);
+        (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
         let input = (bundle.make_input)(&mut rng);
         bench("single_invocation/baseline", 200, &mut || {
             e.run_single(input.clone());
@@ -34,7 +35,7 @@ fn bench_single_invocation() {
         ));
         e.prewarm();
         let mut rng = SimRng::seed(1);
-        (bundle.seed)(&mut e.kv, &mut rng);
+        (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
         let input = (bundle.make_input)(&mut rng);
         for _ in 0..5 {
             e.run_single(input.clone());
@@ -55,7 +56,7 @@ fn bench_closed_loop_throughput() {
         ));
         e.prewarm();
         let mut rng = SimRng::seed(2);
-        (bundle.seed)(&mut e.kv, &mut rng);
+        (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
         let gen = bundle.make_input.clone();
         let m = e.run_closed(100, move |r| gen(r));
         assert_eq!(m.completed, 100);

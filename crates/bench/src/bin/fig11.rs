@@ -18,6 +18,7 @@ use specfaas_bench::runner::{
     ExperimentParams,
 };
 use specfaas_core::{SpecConfig, SpecCore, SpecEngine};
+use specfaas_platform::EngineCore;
 use specfaas_platform::{BaselineCore, BaselineEngine, Load};
 use specfaas_sim::{SimDuration, SimRng};
 
@@ -140,7 +141,7 @@ fn cold_variant(jobs: usize, quick: bool) {
                         let mut b =
                             BaselineEngine::new(BaselineCore::new(bundle.app.clone(), seed));
                         let mut rng = SimRng::seed(seed);
-                        (bundle.seed)(&mut b.kv, &mut rng);
+                        (bundle.seed)(&mut b.rt_mut().kv, &mut rng);
                         b.run_single((bundle.make_input)(&mut rng))
                     };
                     // SpecFaaS: tables trained from earlier invocations, then all
@@ -154,7 +155,7 @@ fn cold_variant(jobs: usize, quick: bool) {
                         ));
                         e.prewarm();
                         let mut rng = SimRng::seed(seed);
-                        (bundle.seed)(&mut e.kv, &mut rng);
+                        (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
                         let gen = bundle.make_input.clone();
                         e.run_closed(train, move |r| gen(r));
                         e.flush_warm_containers();

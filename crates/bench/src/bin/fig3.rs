@@ -13,6 +13,7 @@
 use specfaas_apps::all_suites;
 use specfaas_bench::executor::{self, ExperimentCell};
 use specfaas_bench::report::{f1, pct, Table};
+use specfaas_platform::EngineCore;
 use specfaas_platform::{BaselineCore, BaselineEngine, Breakdown};
 use specfaas_sim::SimRng;
 
@@ -21,7 +22,7 @@ fn measure_app(bundle: &specfaas_apps::AppBundle) -> (Vec<Breakdown>, Vec<Breakd
     // Cold: fresh engine, first request pays full cold start.
     let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 2));
     let mut rng = SimRng::seed(11);
-    (bundle.seed)(&mut e.kv, &mut rng);
+    (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
     let gen = bundle.make_input.clone();
     let m = e.run_closed(1, move |r| gen(r));
     let cold = m.breakdowns.clone();
@@ -30,7 +31,7 @@ fn measure_app(bundle: &specfaas_apps::AppBundle) -> (Vec<Breakdown>, Vec<Breakd
     let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 2));
     e.prewarm();
     let mut rng = SimRng::seed(12);
-    (bundle.seed)(&mut e.kv, &mut rng);
+    (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
     let gen = bundle.make_input.clone();
     let m = e.run_closed(3, move |r| gen(r));
     // Keep only the last request's function breakdowns.

@@ -72,7 +72,7 @@ pub fn prepared_baseline_with(
     e.set_policies(policy);
     e.prewarm();
     let mut rng = SimRng::seed(seed ^ 0x5eed);
-    (bundle.seed)(&mut e.kv, &mut rng);
+    (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
     e
 }
 
@@ -107,7 +107,7 @@ pub fn prepared_spec_with(
     e.set_policies(policy);
     e.prewarm();
     let mut rng = SimRng::seed(seed ^ 0x5eed);
-    (bundle.seed)(&mut e.kv, &mut rng);
+    (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
     let gen = Arc::clone(&bundle.make_input);
     e.run_closed(train_requests, move |r| gen(r));
     e

@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use specfaas_apps::AppBundle;
 use specfaas_core::{PolicyConfig, SpecConfig, SpecCore, SpecEngine};
+use specfaas_platform::EngineCore;
 use specfaas_platform::{BaselineCore, BaselineEngine, RequestOutcome, RunMetrics};
 use specfaas_sim::SimRng;
 use specfaas_storage::Value;
@@ -49,13 +50,15 @@ fn run_baseline(
     let mut e = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), seed));
     e.prewarm();
     let mut rng = SimRng::seed(seed ^ 0x5eed);
-    (bundle.seed)(&mut e.kv, &mut rng);
+    (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
     for input in inputs {
         e.run_single(input.clone());
     }
     let m = e.run_closed(0, |_| Value::Null);
     let dump = kv_dump(
-        e.kv.iter()
+        e.rt()
+            .kv
+            .iter()
             .map(|(k, v)| (k.to_string(), format!("{v:?}")))
             .collect(),
     );
@@ -74,13 +77,15 @@ fn run_spec(
     ));
     e.prewarm();
     let mut rng = SimRng::seed(seed ^ 0x5eed);
-    (bundle.seed)(&mut e.kv, &mut rng);
+    (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
     for input in inputs {
         e.run_single(input.clone());
     }
     let m = e.run_closed(0, |_| Value::Null);
     let dump = kv_dump(
-        e.kv.iter()
+        e.rt()
+            .kv
+            .iter()
             .map(|(k, v)| (k.to_string(), format!("{v:?}")))
             .collect(),
     );
@@ -155,7 +160,7 @@ fn engines_agree_under_non_default_policy() {
             be.set_policies(&policy);
             be.prewarm();
             let mut rng = SimRng::seed(seed ^ 0x5eed);
-            (bundle.seed)(&mut be.kv, &mut rng);
+            (bundle.seed)(&mut be.rt_mut().kv, &mut rng);
             for input in &inputs {
                 be.run_single(input.clone());
             }
@@ -169,7 +174,7 @@ fn engines_agree_under_non_default_policy() {
             se.set_policies(&policy);
             se.prewarm();
             let mut rng = SimRng::seed(seed ^ 0x5eed);
-            (bundle.seed)(&mut se.kv, &mut rng);
+            (bundle.seed)(&mut se.rt_mut().kv, &mut rng);
             for input in &inputs {
                 se.run_single(input.clone());
             }
@@ -186,13 +191,15 @@ fn engines_agree_under_non_default_policy() {
                 assert_eq!(sb, ss, "{label}: request {i} committed functions");
             }
             let kb = kv_dump(
-                be.kv
+                be.rt()
+                    .kv
                     .iter()
                     .map(|(k, v)| (k.to_string(), format!("{v:?}")))
                     .collect(),
             );
             let ks = kv_dump(
-                se.kv
+                se.rt()
+                    .kv
                     .iter()
                     .map(|(k, v)| (k.to_string(), format!("{v:?}")))
                     .collect(),
@@ -219,18 +226,20 @@ fn trained_spec_commits_the_same_state_as_cold_spec() {
         ));
         e.prewarm();
         let mut rng = SimRng::seed(seed ^ 0x5eed);
-        (bundle.seed)(&mut e.kv, &mut rng);
+        (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
         let gen = bundle.make_input.clone();
         e.run_closed(train, move |r| gen(r));
         // Reset storage so only the measured inputs shape the final state.
-        e.kv.clear();
+        e.rt_mut().kv.clear();
         let mut rng = SimRng::seed(seed ^ 0x5eed);
-        (bundle.seed)(&mut e.kv, &mut rng);
+        (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
         for input in &inputs {
             e.run_single(input.clone());
         }
         kv_dump(
-            e.kv.iter()
+            e.rt()
+                .kv
+                .iter()
                 .map(|(k, v)| (k.to_string(), format!("{v:?}")))
                 .collect(),
         )

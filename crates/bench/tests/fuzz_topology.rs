@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use specfaas_apps::AppBundle;
 use specfaas_core::{SpecConfig, SpecCore, SpecEngine};
+use specfaas_platform::EngineCore;
 use specfaas_platform::{BaselineCore, BaselineEngine, RequestOutcome, RunMetrics};
 use specfaas_sim::SimRng;
 use specfaas_storage::Value;
@@ -55,13 +56,15 @@ fn run_baseline(
     let mut e = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), seed));
     e.prewarm();
     let mut rng = SimRng::seed(seed ^ 0x5eed);
-    (bundle.seed)(&mut e.kv, &mut rng);
+    (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
     for input in inputs {
         e.run_single(input.clone());
     }
     let m = e.run_closed(0, |_| Value::Null);
     let dump = kv_dump(
-        e.kv.iter()
+        e.rt()
+            .kv
+            .iter()
             .map(|(k, v)| (k.to_string(), format!("{v:?}")))
             .collect(),
     );
@@ -80,13 +83,15 @@ fn run_spec(
     ));
     e.prewarm();
     let mut rng = SimRng::seed(seed ^ 0x5eed);
-    (bundle.seed)(&mut e.kv, &mut rng);
+    (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
     for input in inputs {
         e.run_single(input.clone());
     }
     let m = e.run_closed(0, |_| Value::Null);
     let dump = kv_dump(
-        e.kv.iter()
+        e.rt()
+            .kv
+            .iter()
             .map(|(k, v)| (k.to_string(), format!("{v:?}")))
             .collect(),
     );

@@ -12,29 +12,9 @@ impl SpecCore {
     ) {
         let now = self.rt.sim.now();
         // Release execution resources.
-        let inst = self.instances.remove(&id).expect("live");
+        let inst = self.rt.finish(id).expect("live");
         self.meta.remove(&id);
-        self.release_instance_resources(&inst, true, now);
-        self.rt.metrics.breakdowns.push(inst.breakdown);
-        let core_time = inst.accumulated_core
-            + inst
-                .started_at
-                .map(|s| now - s)
-                .unwrap_or(SimDuration::ZERO);
-        if self.rt.tracer.enabled() {
-            if let Some(s) = inst.started_at {
-                self.rt.tracer.emit(
-                    s,
-                    TraceEventKind::Span {
-                        req: req_id.0,
-                        func: inst.func.0,
-                        node: inst.node.0 as u32,
-                        phase: Phase::Execution,
-                        end: now,
-                    },
-                );
-            }
-        }
+        let core_time = inst.core_time(now);
 
         if !self.requests.contains_key(&req_id) {
             // Request already gone (defensive): the stint can no longer be

@@ -428,25 +428,13 @@ impl SpecCore {
 
         // Sequence-table fast path: no conductor, just a cheap controller
         // launch operation plus the fixed wire cost.
-        let delay = self.rt.model.platform_fixed
-            + self
-                .rt
-                .cluster
-                .controller_delay(ctrl, now, self.rt.model.spec_launch_service);
-        let id = InstanceId(self.rt.next_inst);
-        self.rt.next_inst += 1;
-        let node = self.rt.cluster.pick_node(func);
-        let program = self.rt.app.registry.spec(func).program.clone();
-        let child_rng = self.rt.rng.split();
-        let mut inst = FnInstance::new(id, func, node, &program, input, child_rng, now);
-        inst.breakdown.platform = delay;
-        self.instances.insert(id, inst);
+        let service = self.rt.model.spec_launch_service;
+        let id = self.rt.spawn_instance(req_id, func, input, ctrl, service);
         self.meta.insert(
             id,
             InstMeta {
                 req: req_id,
                 slot: slot_id,
-                container_acquired: false,
             },
         );
         let req = self.requests.get_mut(&req_id).expect("live");
@@ -454,11 +442,6 @@ impl SpecCore {
         req.functions_run += 1;
         if speculative && self.rt.registry.enabled() {
             self.spec_live.insert(id);
-        }
-        self.rt.sim.schedule_in(delay, Ev::Launch(id));
-        // Invocation watchdog: the only recovery path for a hung handler.
-        if let Some(t) = self.rt.retry.invocation_timeout {
-            self.rt.sim.schedule_in(t, Ev::Timeout(id));
         }
 
         // Implicit-workflow callee prefetch (§V-D): launching f with a

@@ -3,165 +3,21 @@
 use super::*;
 
 impl SpecCore {
-    pub(super) fn on_launch(&mut self, id: InstanceId) {
-        let Some(meta) = self.meta.get_mut(&id) else {
-            return; // killed before launch
-        };
-        meta.container_acquired = true;
-        let req_id = meta.req;
-        let inst = self.instances.get_mut(&id).expect("live instance");
-        let node = inst.node;
-        let func = inst.func;
-        let now = self.rt.sim.now();
-        let acquired = self
-            .rt
-            .cluster
-            .acquire_container(node, func, now, &self.rt.model);
-        self.rt.record(
-            now,
-            TraceEventKind::ContainerAcquire {
-                req: req_id.0,
-                func: func.0,
-                node: node.0 as u32,
-                cold: matches!(acquired, ContainerAcquire::Cold(_)),
-            },
-        );
-        match acquired {
-            ContainerAcquire::Warm => self.try_start(id),
-            ContainerAcquire::Cold(d) => {
-                let inst = self.instances.get_mut(&id).expect("live");
-                inst.breakdown.container_creation = self.rt.model.container_creation;
-                inst.breakdown.runtime_setup = self.rt.model.runtime_setup;
-                inst.state = InstanceState::ColdStarting;
-                if self.rt.tracer.enabled() {
-                    // Fig. 3 cold-start spans: container creation, then
-                    // runtime setup for whatever remains of the delay.
-                    let cc = if self.rt.model.container_creation < d {
-                        self.rt.model.container_creation
-                    } else {
-                        d
-                    };
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::Span {
-                            req: req_id.0,
-                            func: func.0,
-                            node: node.0 as u32,
-                            phase: Phase::ContainerCreation,
-                            end: now + cc,
-                        },
-                    );
-                    if cc < d {
-                        self.rt.tracer.emit(
-                            now + cc,
-                            TraceEventKind::Span {
-                                req: req_id.0,
-                                func: func.0,
-                                node: node.0 as u32,
-                                phase: Phase::RuntimeSetup,
-                                end: now + d,
-                            },
-                        );
-                    }
-                }
-                self.rt.sim.schedule_in(d, Ev::ContainerReady(id));
-            }
-        }
-    }
-
-    pub(super) fn try_start(&mut self, id: InstanceId) {
-        if !self.instances.contains_key(&id) {
-            return;
-        }
-        let now = self.rt.sim.now();
-        let inst = self.instances.get_mut(&id).expect("live");
-        let node = inst.node;
-        if self.rt.cluster.node_mut(node).cores.try_acquire(now) {
-            inst.state = InstanceState::Running;
-            inst.started_at = Some(now);
-            self.rt.sim.schedule_now(Ev::Resume(id, None));
-        } else {
-            inst.state = InstanceState::WaitingCore;
-            self.rt.cluster.node_mut(node).cores.enqueue(id);
-        }
-    }
-
     pub(super) fn on_resume(&mut self, id: InstanceId, resume: Option<Value>) {
-        if !self.instances.contains_key(&id) {
-            return; // killed
-        }
         if self.orphans.contains(&id) {
             self.orphan_step(id, resume);
             return;
         }
         let Some(meta) = self.meta.get(&id) else {
-            return; // squashed; awaiting SquashRelease
+            return; // killed, or squashed and awaiting SquashRelease
         };
         let (req_id, slot_id) = (meta.req, meta.slot);
-        // A blocked instance must re-acquire an execution slot first.
-        let now = self.rt.sim.now();
-        if self
-            .instances
-            .get(&id)
-            .map(|i| i.state == InstanceState::Blocked)
-            .unwrap_or(false)
-        {
-            let inst = self.instances.get_mut(&id).expect("live");
-            let node = inst.node;
-            if self.rt.cluster.node_mut(node).cores.try_acquire(now) {
-                let inst = self.instances.get_mut(&id).expect("live");
-                inst.state = InstanceState::Running;
-                inst.started_at = Some(now);
-            } else {
-                let inst = self.instances.get_mut(&id).expect("live");
-                inst.pending_resume = Some(resume);
-                inst.state = InstanceState::WaitingCore;
-                self.rt.cluster.node_mut(node).cores.enqueue(id);
-                return;
-            }
-        }
-        // Fault injection at the step boundary: the handler's container
-        // crashes, or the handler wedges (hang) and stops making progress.
-        if self.rt.faults.enabled() {
-            if self.rt.faults.roll(FaultSite::ContainerCrash, now) {
-                self.rt.record(
-                    now,
-                    TraceEventKind::FaultInjected {
-                        req: req_id.0,
-                        site: "container_crash",
-                    },
-                );
-                self.slot_fault(req_id, slot_id);
-                return;
-            }
-            if self.rt.faults.roll(FaultSite::Hang, now) {
-                self.rt.record(
-                    now,
-                    TraceEventKind::FaultInjected {
-                        req: req_id.0,
-                        site: "hang",
-                    },
-                );
-                // The wedged handler keeps its core and container but
-                // schedules nothing further; only the invocation
-                // watchdog (if configured) can recover it.
-                return;
-            }
-        }
-        let inst = self.instances.get_mut(&id).expect("live");
-        let effect = match inst.step(resume) {
-            Ok(e) => e,
-            Err(err) => {
-                let out = Value::map([("error", Value::str(err.to_string()))]);
-                self.complete_slot(req_id, slot_id, id, out);
-                return;
-            }
+        let effect = match self.rt.resume(id, resume) {
+            Resumed::Parked => return,
+            Resumed::Crashed => return self.slot_fault(req_id, slot_id),
+            Resumed::Effect(effect) => effect,
         };
         match effect {
-            Effect::Compute(d) => {
-                inst.breakdown.execution += d;
-                self.rt.sim.schedule_in(d, Ev::Resume(id, None));
-            }
             Effect::Get { key } => self.handle_get(req_id, slot_id, id, key, 1),
             Effect::Set { key, value } => self.handle_set(req_id, slot_id, id, key, value, 1),
             Effect::Http { .. } => {
@@ -175,125 +31,38 @@ impl SpecCore {
                     // (§VI, "Side-effect Handling").
                     let req = self.requests.get_mut(&req_id).expect("live");
                     req.deferred_http.insert(slot_id, id);
-                    self.block_instance(id);
+                    self.rt.block(id);
                 }
-            }
-            Effect::FileWrite { name, data } => {
-                inst.files.insert(name, data);
-                self.rt.sim.schedule_now(Ev::Resume(id, None));
-            }
-            Effect::FileRead { name } => {
-                let v = inst.files.get(&name).cloned().unwrap_or(Value::Null);
-                self.rt.sim.schedule_now(Ev::Resume(id, Some(v)));
             }
             Effect::Call { func, args } => self.handle_call(req_id, slot_id, id, &func, args),
             Effect::Done(out) => self.complete_slot(req_id, slot_id, id, out),
-        }
-    }
-
-    /// Releases the instance's execution slot while it blocks (waiting
-    /// on a callee, a stalled read, or a deferred side effect). A blocked
-    /// handler process is descheduled by the OS; its container stays
-    /// allocated.
-    pub(super) fn block_instance(&mut self, id: InstanceId) {
-        let now = self.rt.sim.now();
-        let Some(inst) = self.instances.get_mut(&id) else {
-            return;
-        };
-        if inst.state != InstanceState::Running {
-            return;
-        }
-        if let Some(start) = inst.started_at.take() {
-            inst.accumulated_core += now - start;
-            if self.rt.tracer.enabled() {
-                if let Some(m) = self.meta.get(&id) {
-                    self.rt.tracer.emit(
-                        start,
-                        TraceEventKind::Span {
-                            req: m.req.0,
-                            func: inst.func.0,
-                            node: inst.node.0 as u32,
-                            phase: Phase::Execution,
-                            end: now,
-                        },
-                    );
-                }
+            Effect::Compute(_) | Effect::FileRead { .. } | Effect::FileWrite { .. } => {
+                unreachable!("completed by Runtime::step")
             }
         }
-        inst.state = InstanceState::Blocked;
-        let node = inst.node;
-        if let Some(next) = self.rt.cluster.node_mut(node).cores.release(now) {
-            self.grant_core(next, now);
-        }
     }
 
-    /// Hands a freed slot to a queued instance and starts/resumes it.
-    pub(super) fn grant_core(&mut self, next: InstanceId, now: SimTime) {
-        if let Some(w) = self.instances.get_mut(&next) {
-            w.state = InstanceState::Running;
-            w.started_at = Some(now);
-            let resume = w.pending_resume.take().unwrap_or(None);
-            self.rt.sim.schedule_now(Ev::Resume(next, resume));
-        }
-    }
-
-    /// Rolls for a transient KV fault at `site` on behalf of `id`.
-    /// Returns true if a fault was injected and handled (retry scheduled
-    /// or escalated); the storage operation must then not proceed. The
-    /// retried operation is built by `op` only when a retry is scheduled,
-    /// so fault-free runs never copy the key or value.
-    pub(super) fn kv_fault(
+    /// Rolls for a transient KV fault on `id`'s storage access. Returns
+    /// true if the access must not proceed now: a retry is scheduled, or
+    /// the retry budget is spent and the slot faults.
+    fn kv_faulted(
         &mut self,
         req_id: RequestId,
         slot_id: SlotId,
         id: InstanceId,
-        site: FaultSite,
-        op: impl FnOnce() -> KvOp,
+        write: bool,
         attempt: u32,
+        op: impl FnOnce() -> KvOp,
     ) -> bool {
-        let now = self.rt.sim.now();
-        if !self.rt.faults.enabled() || !self.rt.faults.roll(site, now) {
-            return false;
+        match self.rt.kv_attempt(id, write, attempt, op) {
+            KvAttempt::Proceed => false,
+            KvAttempt::Retrying => true,
+            KvAttempt::Exhausted => {
+                // Storage retries exhausted: the whole execution faults.
+                self.slot_fault(req_id, slot_id);
+                true
+            }
         }
-        let site = match site {
-            FaultSite::KvGet => "kv_get",
-            _ => "kv_set",
-        };
-        self.rt.record(
-            now,
-            TraceEventKind::FaultInjected {
-                req: req_id.0,
-                site,
-            },
-        );
-        if attempt >= self.rt.retry.max_attempts {
-            // Storage retries exhausted: the whole execution faults.
-            self.slot_fault(req_id, slot_id);
-            return true;
-        }
-        let backoff = self.rt.retry.backoff(attempt);
-        if let Some(inst) = self.instances.get_mut(&id) {
-            inst.breakdown.retry_backoff += backoff;
-        }
-        let func = self
-            .instances
-            .get(&id)
-            .map(|i| i.func.0)
-            .unwrap_or(u32::MAX);
-        self.rt.record(
-            now,
-            TraceEventKind::RetryBackoff {
-                req: req_id.0,
-                func,
-                attempt: attempt + 1,
-                backoff,
-            },
-        );
-        self.rt.metrics.faults.retried += 1;
-        self.rt
-            .sim
-            .schedule_in(backoff, Ev::KvRetry(id, op(), attempt + 1));
-        true
     }
 
     /// Storage read through the Data Buffer (§V-C).
@@ -306,7 +75,7 @@ impl SpecCore {
         attempt: u32,
     ) {
         let op = || KvOp::Get { key: key.clone() };
-        if self.kv_fault(req_id, slot_id, id, FaultSite::KvGet, op, attempt) {
+        if self.kv_faulted(req_id, slot_id, id, false, attempt, op) {
             return;
         }
         let lat = self.rt.kv.latency().read + self.rt.model.data_buffer_hop;
@@ -340,7 +109,7 @@ impl SpecCore {
                         producer,
                     });
                     self.stall_list.record_stall();
-                    self.block_instance(id);
+                    self.rt.block(id);
                     return;
                 }
             }
@@ -349,12 +118,7 @@ impl SpecCore {
             ReadResult::Forwarded(v) => v,
             ReadResult::Global => self.rt.kv.get(&key).cloned().unwrap_or(Value::Null),
         };
-        if let Some(inst) = self.instances.get_mut(&id) {
-            inst.breakdown.execution += lat;
-        }
-        let now = self.rt.sim.now();
-        self.rt.kv_issued(now + lat, false);
-        self.rt.sim.schedule_in(lat, Ev::Resume(id, Some(value)));
+        self.rt.storage_done(id, lat, false, Some(value));
     }
 
     /// Storage write through the Data Buffer: buffered, with out-of-order
@@ -372,7 +136,7 @@ impl SpecCore {
             key: key.clone(),
             value: value.clone(),
         };
-        if self.kv_fault(req_id, slot_id, id, FaultSite::KvSet, op, attempt) {
+        if self.kv_faulted(req_id, slot_id, id, true, attempt, op) {
             return;
         }
         let lat = self.rt.kv.latency().write + self.rt.model.data_buffer_hop;
@@ -399,12 +163,7 @@ impl SpecCore {
         // Release any stalled reads waiting for this producer+key.
         self.release_stalls(req_id, Some((slot_id, key)));
 
-        if let Some(inst) = self.instances.get_mut(&id) {
-            inst.breakdown.execution += lat;
-        }
-        let now = self.rt.sim.now();
-        self.rt.kv_issued(now + lat, true);
-        self.rt.sim.schedule_in(lat, Ev::Resume(id, None));
+        self.rt.storage_done(id, lat, true, None);
     }
 
     /// Re-resolves stalled reads whose producer wrote the record,
@@ -435,7 +194,7 @@ impl SpecCore {
         });
         for (slot, inst, key) in released {
             // Re-issue the read, now past the stall window.
-            if self.instances.contains_key(&inst) {
+            if self.rt.instances.contains_key(&inst) {
                 self.handle_get(req_id, slot, inst, key, 1);
             }
         }
@@ -500,7 +259,7 @@ impl SpecCore {
                     // the blocked caller yields its execution slot.
                     req.waiting_callers.insert(cslot, caller_slot);
                     req.waiting_args.insert(caller_slot, args);
-                    self.block_instance(caller_inst);
+                    self.rt.block(caller_inst);
                     // The callee may just have become the non-speculative
                     // execution point: release its deferred side effects.
                     self.release_deferred_http(req_id);
@@ -544,7 +303,7 @@ impl SpecCore {
             let slot = req.pipeline.slot(cslot).expect("live");
             !slot.non_speculative || req.pipeline.is_head(cslot)
         };
-        self.block_instance(caller_inst);
+        self.rt.block(caller_inst);
         if launchable {
             self.launch_slot(req_id, cslot);
         }

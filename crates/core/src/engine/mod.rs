@@ -15,11 +15,12 @@ use specfaas_sim::hash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
 use specfaas_platform::cluster::NodeId;
-use specfaas_platform::container::ContainerAcquire;
-use specfaas_platform::exec::{FnInstance, InstanceId, InstanceState};
+use specfaas_platform::exec::{
+    InstanceId, InstanceState, KvAttempt, KvOp, LifecycleEvent, Resumed,
+};
 use specfaas_platform::metrics::{InvocationRecord, RequestOutcome, RunMetrics};
 use specfaas_platform::workload::RequestId;
-use specfaas_sim::trace::{Phase, SquashCause, TraceEventKind};
+use specfaas_sim::trace::{SquashCause, TraceEventKind};
 use specfaas_sim::FaultSite;
 use specfaas_sim::{GaugeHandle, SimDuration, SimTime};
 use specfaas_storage::Value;
@@ -60,12 +61,22 @@ pub enum Ev {
     Complete(RequestId),
 }
 
-/// A storage operation being retried across transient KV faults.
-#[doc(hidden)]
-#[derive(Debug, Clone)]
-pub enum KvOp {
-    Get { key: String },
-    Set { key: String, value: Value },
+impl LifecycleEvent for Ev {
+    fn launch(id: InstanceId) -> Self {
+        Ev::Launch(id)
+    }
+    fn container_ready(id: InstanceId) -> Self {
+        Ev::ContainerReady(id)
+    }
+    fn resume(id: InstanceId, value: Option<Value>) -> Self {
+        Ev::Resume(id, value)
+    }
+    fn kv_retry(id: InstanceId, op: KvOp, attempt: u32) -> Self {
+        Ev::KvRetry(id, op, attempt)
+    }
+    fn timeout(id: InstanceId) -> Self {
+        Ev::Timeout(id)
+    }
 }
 
 /// Why a squash happens (drives reset-vs-remove semantics).
@@ -158,10 +169,10 @@ struct Req {
     completed: bool,
 }
 
+/// The request and slot a live, unsquashed instance executes.
 struct InstMeta {
     req: RequestId,
     slot: SlotId,
-    container_acquired: bool,
 }
 
 /// The SpecFaaS speculative execution engine for one application: the
@@ -188,7 +199,7 @@ pub type SpecEngine = Harness<SpecCore>;
 /// [`Harness`]; on its own it only implements [`EngineCore`].
 pub struct SpecCore {
     /// Engine-agnostic runtime substrate (clock, RNG, cluster, storage,
-    /// faults, tracer, registry, run bookkeeping).
+    /// faults, tracer, registry, run bookkeeping, instances).
     rt: Runtime<Ev>,
     /// Speculation policy.
     pub config: SpecConfig,
@@ -212,24 +223,10 @@ pub struct SpecCore {
     predictor: BranchPredictor,
     memos: MemoTables,
     stall_list: StallList,
-    instances: FxHashMap<InstanceId, FnInstance>,
     meta: FxHashMap<InstanceId, InstMeta>,
     /// Lazily squashed instances still running in the background.
     orphans: FxHashSet<InstanceId>,
     requests: FxHashMap<RequestId, Req>,
-}
-
-impl std::ops::Deref for SpecCore {
-    type Target = Runtime<Ev>;
-    fn deref(&self) -> &Self::Target {
-        &self.rt
-    }
-}
-
-impl std::ops::DerefMut for SpecCore {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.rt
-    }
 }
 
 impl EngineCore for SpecCore {
@@ -273,10 +270,6 @@ impl EngineCore for SpecCore {
 
     fn abort(&mut self, req: RequestId) {
         self.abort_request(req);
-    }
-
-    fn live_instances(&self) -> usize {
-        self.instances.len()
     }
 
     fn stuck_requests(&self) -> Vec<String> {
@@ -347,7 +340,6 @@ impl SpecCore {
             spec_live: FxHashSet::default(),
             spec_gauge_h: (None, None),
             seqtable,
-            instances: FxHashMap::default(),
             meta: FxHashMap::default(),
             orphans: FxHashSet::default(),
             requests: FxHashMap::default(),
@@ -379,7 +371,8 @@ impl SpecCore {
         }
         let now = self.rt.sim.now();
         self.rt.sample_cluster_gauges(now);
-        self.spec_live.retain(|id| self.instances.contains_key(id));
+        self.spec_live
+            .retain(|id| self.rt.instances.contains_key(id));
         self.rt.registry.sample_interned(
             &mut self.spec_gauge_h.0,
             now,
@@ -461,8 +454,14 @@ impl SpecCore {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Arrival => harness::handle_arrival(self),
-            Ev::Launch(id) => self.on_launch(id),
-            Ev::ContainerReady(id) => self.try_start(id),
+            // A lazily squashed instance still in launch overhead never
+            // launches.
+            Ev::Launch(id) => {
+                if self.meta.contains_key(&id) {
+                    self.rt.on_launch(id);
+                }
+            }
+            Ev::ContainerReady(id) => self.rt.try_start(id),
             Ev::Resume(id, v) => self.on_resume(id, v),
             Ev::CommitApply(req, slot) => self.on_commit_apply(req, slot),
             Ev::SquashRelease(id, reusable) => self.on_squash_release(id, reusable),

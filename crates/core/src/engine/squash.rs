@@ -110,7 +110,7 @@ impl SpecCore {
         }
         // Kill the running instance per the configured mechanism.
         if let Some(inst_id) = inst {
-            self.kill_instance(inst_id, req_id, site, cascade);
+            self.kill_instance(inst_id, site, cascade);
         }
         let req = self.requests.get_mut(&req_id).expect("live");
         if reset_in_place {
@@ -129,153 +129,63 @@ impl SpecCore {
 
     /// Applies the configured squash mechanism to a live instance.
     /// `site`/`cascade` label the squash for wasted-CPU attribution.
-    pub(super) fn kill_instance(
-        &mut self,
-        id: InstanceId,
-        req_id: RequestId,
-        site: &'static str,
-        cascade: u32,
-    ) {
+    pub(super) fn kill_instance(&mut self, id: InstanceId, site: &'static str, cascade: u32) {
         let now = self.rt.sim.now();
-        let Some(inst) = self.instances.get(&id) else {
+        let Some(inst) = self.rt.instances.get(&id) else {
             return;
         };
-        let (inst_state, inst_node, inst_func, inst_started, inst_acc) = (
-            inst.state,
-            inst.node,
-            inst.func,
-            inst.started_at,
-            inst.accumulated_core,
-        );
-        let meta_acquired = self
-            .meta
-            .get(&id)
-            .map(|m| m.container_acquired)
-            .unwrap_or(false);
+        let (state, req, func, wasted) = (inst.state, inst.req.0, inst.func, inst.core_time(now));
+        self.meta.remove(&id);
         match self.config.squash {
-            SquashMechanism::Lazy => {
-                // Let it run to completion in the background; outputs are
-                // never propagated. Blocked instances wait on callees
-                // that are themselves being squashed — they cannot make
-                // progress and terminate instead (their container frees).
-                self.meta.remove(&id);
+            // Let it run to completion in the background; outputs are
+            // never propagated. Blocked instances wait on callees that are
+            // themselves being squashed — they cannot make progress and
+            // terminate instead (their container frees).
+            SquashMechanism::Lazy
                 if matches!(
-                    inst_state,
+                    state,
                     InstanceState::Running
                         | InstanceState::ColdStarting
                         | InstanceState::WaitingCore
-                ) {
-                    self.orphans.insert(id);
-                } else {
-                    if inst_state == InstanceState::Blocked {
-                        self.rt
-                            .charge_squashed(req_id.0, inst_func, site, cascade, inst_acc);
-                        if meta_acquired {
-                            self.rt
-                                .cluster
-                                .release_container(inst_node, inst_func, now, true);
-                        }
-                    }
-                    self.instances.remove(&id);
-                }
+                ) =>
+            {
+                self.orphans.insert(id);
             }
-            SquashMechanism::ProcessKill | SquashMechanism::ContainerKill => {
-                let reusable = self.config.squash == SquashMechanism::ProcessKill;
-                match inst_state {
-                    InstanceState::Running => {
-                        // The handler dies after the kill latency; the core
-                        // frees then. Wasted-CPU attribution happens now
-                        // (matching the paper's squash-cost accounting);
-                        // the kill-latency window itself goes into
-                        // `squash_kill_busy` at SquashRelease.
-                        if let Some(s) = inst_started {
-                            self.rt.charge_squashed(
-                                req_id.0,
-                                inst_func,
-                                site,
-                                cascade,
-                                (now - s) + inst_acc,
-                            );
-                        }
-                        if self.rt.tracer.enabled() {
-                            if let (Some(s), Some(m)) = (inst_started, self.meta.get(&id)) {
-                                self.rt.tracer.emit(
-                                    s,
-                                    TraceEventKind::Span {
-                                        req: m.req.0,
-                                        func: inst_func.0,
-                                        node: inst_node.0 as u32,
-                                        phase: Phase::Execution,
-                                        end: now + self.rt.model.process_kill,
-                                    },
-                                );
-                            }
-                        }
-                        self.rt.sim.schedule_in(
-                            self.rt.model.process_kill,
-                            Ev::SquashRelease(id, reusable),
-                        );
-                        // Remove from maps now so stale Resume events are
-                        // ignored; keep the instance for resource release.
-                        self.meta.remove(&id);
-                        if let Some(i) = self.instances.get_mut(&id) {
-                            i.state = InstanceState::Squashed;
-                        }
-                    }
-                    InstanceState::WaitingCore => {
-                        // Past blocked stints are wasted work even though
-                        // the instance holds no core right now.
-                        self.rt
-                            .charge_squashed(req_id.0, inst_func, site, cascade, inst_acc);
-                        self.rt
-                            .cluster
-                            .node_mut(inst_node)
-                            .cores
-                            .remove_waiter(|w| *w == id);
-                        if meta_acquired {
-                            self.rt
-                                .cluster
-                                .release_container(inst_node, inst_func, now, reusable);
-                        }
-                        self.meta.remove(&id);
-                        self.instances.remove(&id);
-                    }
-                    InstanceState::Blocked => {
-                        // Holds no core; count its past stints as wasted
-                        // and free the container after the kill latency.
-                        self.rt
-                            .charge_squashed(req_id.0, inst_func, site, cascade, inst_acc);
-                        self.meta.remove(&id);
-                        self.instances.remove(&id);
-                        if meta_acquired {
-                            self.rt
-                                .cluster
-                                .release_container(inst_node, inst_func, now, reusable);
-                        }
-                    }
-                    InstanceState::ColdStarting => {
-                        // Container creation already ran to completion in
-                        // the model's accounting; return it to the pool.
-                        self.meta.remove(&id);
-                        self.instances.remove(&id);
-                        if meta_acquired {
-                            self.rt
-                                .cluster
-                                .release_container(inst_node, inst_func, now, true);
-                        }
-                    }
-                    _ => {
-                        self.meta.remove(&id);
-                        self.instances.remove(&id);
-                    }
+            SquashMechanism::ProcessKill | SquashMechanism::ContainerKill
+                if state == InstanceState::Running =>
+            {
+                // The handler dies after the kill latency; the core frees
+                // then. Wasted-CPU attribution happens now (matching the
+                // paper's squash-cost accounting); the kill-latency window
+                // itself goes into `squash_kill_busy` at SquashRelease.
+                self.rt.charge_squashed(req, func, site, cascade, wasted);
+                let kill = self.rt.model.process_kill;
+                let inst = self.rt.instances.get_mut(&id).expect("live instance");
+                if let Some(s) = inst.started_at {
+                    inst.trace_execution(&mut self.rt.tracer, s, now + kill);
                 }
+                // Stale Resume events find no metadata and are ignored;
+                // the instance stays for the delayed resource release.
+                inst.state = InstanceState::Squashed;
+                let reusable = self.config.squash == SquashMechanism::ProcessKill;
+                self.rt
+                    .sim
+                    .schedule_in(kill, Ev::SquashRelease(id, reusable));
+            }
+            // No running handler to wait for: free what the instance holds
+            // now. A container still being created already ran to
+            // completion in the model's accounting, so it returns to the
+            // pool under every mechanism.
+            mechanism => {
+                let reusable = mechanism != SquashMechanism::ContainerKill
+                    || state == InstanceState::ColdStarting;
+                self.rt.stop(id, site, cascade, reusable);
             }
         }
     }
 
     pub(super) fn on_squash_release(&mut self, id: InstanceId, reusable: bool) {
-        let now = self.rt.sim.now();
-        let Some(inst) = self.instances.remove(&id) else {
+        let Some(inst) = self.rt.release(id, reusable) else {
             return;
         };
         // The stint up to the kill was already charged to
@@ -285,64 +195,30 @@ impl SpecCore {
         if inst.started_at.is_some() {
             self.squash_kill_busy += self.rt.model.process_kill;
         }
-        self.release_instance_resources(&inst, reusable, now);
-    }
-
-    pub(super) fn release_instance_resources(
-        &mut self,
-        inst: &FnInstance,
-        reusable: bool,
-        now: SimTime,
-    ) {
-        if inst.started_at.is_some() {
-            if let Some(next) = self.rt.cluster.node_mut(inst.node).cores.release(now) {
-                self.grant_core(next, now);
-            }
-        }
-        self.rt
-            .cluster
-            .release_container(inst.node, inst.func, now, reusable);
     }
 
     /// Steps a lazily-squashed orphan instance: effects proceed against
     /// committed global state, writes are dropped, calls resolve to Null.
     pub(super) fn orphan_step(&mut self, id: InstanceId, resume: Option<Value>) {
         let now = self.rt.sim.now();
-        let inst = self.instances.get_mut(&id).expect("orphan live");
-        let effect = match inst.step(resume) {
-            Ok(e) => e,
-            Err(_) => Effect::Done(Value::Null),
+        let Some(effect) = self.rt.step(id, resume) else {
+            return;
         };
         match effect {
-            Effect::Compute(d) => {
-                self.rt.sim.schedule_in(d, Ev::Resume(id, None));
-            }
             Effect::Get { key } => {
                 let v = self.rt.kv.get(&key).cloned().unwrap_or(Value::Null);
-                self.rt.kv_issued(now + self.rt.kv.latency().read, false);
-                self.rt
-                    .sim
-                    .schedule_in(self.rt.kv.latency().read, Ev::Resume(id, Some(v)));
+                let lat = self.rt.kv.latency().read;
+                self.rt.storage_done(id, lat, false, Some(v));
             }
             Effect::Set { .. } => {
                 // Dropped: squashed state never propagates — but the
                 // handler still waits out the write latency.
-                self.rt.kv_issued(now + self.rt.kv.latency().write, true);
-                self.rt
-                    .sim
-                    .schedule_in(self.rt.kv.latency().write, Ev::Resume(id, None));
+                let lat = self.rt.kv.latency().write;
+                self.rt.storage_done(id, lat, true, None);
             }
             Effect::Http { .. } => {
                 // Never performed for squashed functions.
                 self.rt.sim.schedule_now(Ev::Resume(id, None));
-            }
-            Effect::FileWrite { name, data } => {
-                inst.files.insert(name, data);
-                self.rt.sim.schedule_now(Ev::Resume(id, None));
-            }
-            Effect::FileRead { name } => {
-                let v = inst.files.get(&name).cloned().unwrap_or(Value::Null);
-                self.rt.sim.schedule_now(Ev::Resume(id, Some(v)));
             }
             Effect::Call { .. } => {
                 self.rt.sim.schedule_in(
@@ -351,20 +227,17 @@ impl SpecCore {
                 );
             }
             Effect::Done(_) => {
-                let inst = self.instances.remove(&id).expect("orphan live");
+                let inst = self.rt.release(id, true).expect("orphan live");
                 self.orphans.remove(&id);
                 // Everything this orphan ever ran was wasted: its final
                 // stint plus any stints accumulated while it was blocked
                 // before being squashed. The owning request is unknown by
                 // now (lazy squash drops the metadata at kill time).
-                let wasted = inst.accumulated_core
-                    + inst
-                        .started_at
-                        .map(|s| now - s)
-                        .unwrap_or(SimDuration::ZERO);
                 self.rt
-                    .charge_squashed(u64::MAX, inst.func, "orphan_done", 0, wasted);
-                self.release_instance_resources(&inst, true, now);
+                    .charge_squashed(u64::MAX, inst.func, "orphan_done", 0, inst.core_time(now));
+            }
+            Effect::Compute(_) | Effect::FileRead { .. } | Effect::FileWrite { .. } => {
+                unreachable!("completed by Runtime::step")
             }
         }
     }
@@ -374,82 +247,14 @@ impl SpecCore {
     // ------------------------------------------------------------------
 
     /// Force-removes an instance that died (crash, hang timeout,
-    /// exhausted KV retries, or request abort), releasing whatever core
-    /// slot, queue position and container it holds. Unlike
-    /// `kill_instance` this ignores the configured squash mechanism: the
-    /// handler is already dead, so even lazy squashing cannot keep it
-    /// running. Its container is not reusable.
+    /// exhausted KV retries, or request abort). Unlike `kill_instance`
+    /// this ignores the configured squash mechanism: the handler is
+    /// already dead, so even lazy squashing cannot keep it running. Its
+    /// container is not reusable.
     pub(super) fn teardown_instance(&mut self, id: InstanceId) {
-        let now = self.rt.sim.now();
-        let meta = self.meta.remove(&id);
-        let acquired = meta.as_ref().map(|m| m.container_acquired).unwrap_or(false);
-        let meta_req = meta.map(|m| m.req);
+        self.meta.remove(&id);
         self.orphans.remove(&id);
-        let Some(inst) = self.instances.remove(&id) else {
-            return;
-        };
-        let charge_req = meta_req.unwrap_or(RequestId(u64::MAX));
-        match inst.state {
-            InstanceState::Running => {
-                let wasted = inst.accumulated_core
-                    + inst
-                        .started_at
-                        .map(|s| now - s)
-                        .unwrap_or(SimDuration::ZERO);
-                self.rt
-                    .charge_squashed(charge_req.0, inst.func, "teardown", 0, wasted);
-                if self.rt.tracer.enabled() {
-                    if let (Some(s), Some(req)) = (inst.started_at, meta_req) {
-                        self.rt.tracer.emit(
-                            s,
-                            TraceEventKind::Span {
-                                req: req.0,
-                                func: inst.func.0,
-                                node: inst.node.0 as u32,
-                                phase: Phase::Execution,
-                                end: now,
-                            },
-                        );
-                    }
-                }
-                if inst.started_at.is_some() {
-                    if let Some(next) = self.rt.cluster.node_mut(inst.node).cores.release(now) {
-                        self.grant_core(next, now);
-                    }
-                }
-            }
-            InstanceState::Blocked => {
-                self.rt.charge_squashed(
-                    charge_req.0,
-                    inst.func,
-                    "teardown",
-                    0,
-                    inst.accumulated_core,
-                );
-            }
-            InstanceState::WaitingCore => {
-                // Past blocked stints count as wasted work even though no
-                // core is held at teardown time.
-                self.rt.charge_squashed(
-                    charge_req.0,
-                    inst.func,
-                    "teardown",
-                    0,
-                    inst.accumulated_core,
-                );
-                self.rt
-                    .cluster
-                    .node_mut(inst.node)
-                    .cores
-                    .remove_waiter(|w| *w == id);
-            }
-            _ => {}
-        }
-        if acquired {
-            self.rt
-                .cluster
-                .release_container(inst.node, inst.func, now, false);
-        }
+        self.rt.stop(id, "teardown", 0, false);
     }
 
     /// The instance executing `slot_id` suffered an unrecoverable-in-
@@ -519,10 +324,9 @@ impl SpecCore {
         self.pump(req_id);
     }
 
-    /// Invocation watchdog: a handler still live past the timeout is
-    /// treated as hung and goes through the slot fault path. A blocked
-    /// handler (legitimately waiting on a callee, stall, or deferred
-    /// side effect) gets its watchdog re-armed instead of killed.
+    /// Invocation watchdog: a hung handler goes through the slot fault
+    /// path ([`Runtime::watchdog_fired`] re-arms a blocked one instead).
+    /// Orphans and squashed instances are past faulting.
     pub(super) fn on_timeout(&mut self, id: InstanceId) {
         if self.orphans.contains(&id) {
             return;
@@ -531,27 +335,8 @@ impl SpecCore {
             return;
         };
         let (req_id, slot_id) = (meta.req, meta.slot);
-        let Some(inst) = self.instances.get(&id) else {
-            return;
-        };
-        match inst.state {
-            InstanceState::Done | InstanceState::Squashed => {}
-            InstanceState::Blocked => {
-                if let Some(t) = self.rt.retry.invocation_timeout {
-                    self.rt.sim.schedule_in(t, Ev::Timeout(id));
-                }
-            }
-            _ => {
-                let now = self.rt.sim.now();
-                self.rt.record(
-                    now,
-                    TraceEventKind::FaultInjected {
-                        req: req_id.0,
-                        site: "timeout",
-                    },
-                );
-                self.slot_fault(req_id, slot_id);
-            }
+        if self.rt.watchdog_fired(id) {
+            self.slot_fault(req_id, slot_id);
         }
     }
 

@@ -197,7 +197,7 @@ fn data_violation_detected_and_output_correct() {
     // RAW → squash → re-execution reads the forwarded value.
     e.run_single(Value::map([("v", Value::Int(1))]));
     let m = e.run_closed(0, fresh_input);
-    assert_eq!(e.kv.peek("shared"), Some(&Value::Int(1)));
+    assert_eq!(e.rt().kv.peek("shared"), Some(&Value::Int(1)));
     assert!(
         m.records.last().unwrap().functions_squashed >= 1,
         "premature read should have been squashed"
@@ -294,13 +294,13 @@ fn implicit_wrong_callee_args_squash_and_recover() {
     let app = Arc::new(stateful_implicit_app());
     let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 1));
     e.prewarm();
-    e.kv.set("mode", Value::Int(1));
+    e.rt_mut().kv.set("mode", Value::Int(1));
     // Train: the memo row records callee input {n: 1}.
     e.run_single(Value::Null);
     e.run_single(Value::Null);
     // Flip the mode: the prefetched callee (args {n:1}) now
     // mismatches the actual call (args {n:2}) → squash + respawn.
-    e.kv.set("mode", Value::Int(2));
+    e.rt_mut().kv.set("mode", Value::Int(2));
     let d = e.run_single(Value::Null);
     assert!(d > SimDuration::ZERO);
     let m = e.run_closed(0, fresh_input);
@@ -530,7 +530,7 @@ fn kv_faults_retry_at_storage_level() {
     assert!(m.faults.kv_errors > 0, "KV faults should have fired");
     assert!(m.faults.retried > 0);
     // The winning write still landed.
-    assert_eq!(e.kv.peek("shared"), Some(&Value::Int(1)));
+    assert_eq!(e.rt().kv.peek("shared"), Some(&Value::Int(1)));
 }
 
 #[test]
@@ -702,7 +702,7 @@ fn wide_join_commits_branches_in_declaration_order() {
     let app = Arc::new(wide_join_app(width));
     let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 1));
     e.prewarm();
-    e.kv.set("probe", Value::Int(100));
+    e.rt_mut().kv.set("probe", Value::Int(100));
     e.run_single(Value::map([("v", Value::Int(3))]));
     let m = e.run_closed(0, fresh_input);
     assert_eq!(m.completed, 1);
@@ -717,12 +717,12 @@ fn wide_join_commits_branches_in_declaration_order() {
         "commit order must be declaration order: src, branches, join, tail"
     );
     assert_eq!(
-        e.kv.peek("final"),
+        e.rt().kv.peek("final"),
         Some(&Value::Int(wide_join_expected(width, 3, 100)))
     );
     for i in 0..width {
         assert_eq!(
-            e.kv.peek(&format!("part:{i}")),
+            e.rt().kv.peek(&format!("part:{i}")),
             Some(&Value::Int(3)),
             "branch {i}'s disjoint write must land"
         );
@@ -734,7 +734,7 @@ fn wide_join_memo_rows_learned_at_commit_only() {
     let app = Arc::new(wide_join_app(4));
     let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 1));
     e.prewarm();
-    e.kv.set("probe", Value::Int(1));
+    e.rt_mut().kv.set("probe", Value::Int(1));
     assert_eq!(e.memos().total_entries(), 0);
     let cold = e.run_single(Value::map([("v", Value::Int(2))]));
     // Every committed function — src, the four branches, the join, and
@@ -759,7 +759,7 @@ fn stale_probe_invalidates_join_memo_and_cascades() {
     let app = Arc::new(wide_join_app(width));
     let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 1));
     e.prewarm();
-    e.kv.set("probe", Value::Int(1));
+    e.rt_mut().kv.set("probe", Value::Int(1));
     // Train: the join's memo row now predicts a sum that embeds probe=1.
     for _ in 0..3 {
         e.run_single(Value::map([("v", Value::Int(5))]));
@@ -775,7 +775,7 @@ fn stale_probe_invalidates_join_memo_and_cascades() {
     // Mutate the probe behind the engine's back: the join's memoized
     // output is now stale, so the speculatively launched post-join
     // chain (t0 → t1) runs on a wrong input and must be squashed.
-    e.kv.set("probe", Value::Int(41));
+    e.rt_mut().kv.set("probe", Value::Int(41));
     e.run_single(Value::map([("v", Value::Int(5))]));
     let m = e.run_closed(0, fresh_input);
     let last = m.records.last().unwrap();
@@ -791,7 +791,7 @@ fn stale_probe_invalidates_join_memo_and_cascades() {
     );
     // Recovery is exact: the re-executed chain saw the fresh probe.
     assert_eq!(
-        e.kv.peek("final"),
+        e.rt().kv.peek("final"),
         Some(&Value::Int(wide_join_expected(width, 5, 41)))
     );
 }
@@ -803,7 +803,7 @@ fn wide_join_final_state_matches_baseline() {
 
     let mut base = BaselineEngine::new(BaselineCore::new(Arc::clone(&app), 7));
     base.prewarm();
-    base.kv.set("probe", Value::Int(9));
+    base.rt_mut().kv.set("probe", Value::Int(9));
     for i in &inputs {
         base.run_single(i.clone());
     }
@@ -811,7 +811,7 @@ fn wide_join_final_state_matches_baseline() {
 
     let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 7));
     spec.prewarm();
-    spec.kv.set("probe", Value::Int(9));
+    spec.rt_mut().kv.set("probe", Value::Int(9));
     for i in &inputs {
         spec.run_single(i.clone());
     }
@@ -826,7 +826,7 @@ fn wide_join_final_state_matches_baseline() {
         v.sort();
         v
     };
-    assert_eq!(dump(&base.kv), dump(&spec.kv));
+    assert_eq!(dump(&base.rt().kv), dump(&spec.rt().kv));
     for (rb, rs) in mb.records.iter().zip(&ms.records) {
         let (mut sb, mut ss) = (rb.sequence.clone(), rs.sequence.clone());
         sb.sort_unstable();

@@ -6,6 +6,7 @@
 use std::sync::Arc;
 
 use specfaas_core::{SpecConfig, SpecCore, SpecEngine, SquashMechanism};
+use specfaas_platform::EngineCore;
 use specfaas_platform::{BaselineCore, BaselineEngine};
 use specfaas_sim::{SimDuration, SimRng};
 use specfaas_storage::Value;
@@ -69,7 +70,7 @@ fn loop_workflow_correct_on_baseline_and_spec() {
         base.prewarm();
         base.run_single(input.clone());
         assert_eq!(
-            base.kv.peek("loop_result"),
+            base.rt().kv.peek("loop_result"),
             Some(&Value::Int(loop_expected(n))),
             "baseline loop n={n}"
         );
@@ -79,7 +80,7 @@ fn loop_workflow_correct_on_baseline_and_spec() {
         spec.run_single(input.clone());
         spec.run_single(input); // speculated (loop unrolled from memo)
         assert_eq!(
-            spec.kv.peek("loop_result"),
+            spec.rt().kv.peek("loop_result"),
             Some(&Value::Int(loop_expected(n))),
             "spec loop n={n}"
         );
@@ -97,7 +98,7 @@ fn loop_iteration_count_change_squashes_and_recovers() {
     }
     // ...then run n=5: the loop-exit prediction is wrong mid-way.
     spec.run_single(Value::map([("n", Value::Int(5))]));
-    assert_eq!(spec.kv.peek("loop_result"), Some(&Value::Int(15)));
+    assert_eq!(spec.rt().kv.peek("loop_result"), Some(&Value::Int(15)));
 }
 
 #[test]
@@ -176,8 +177,8 @@ fn interleaved_requests_do_not_cross_speculate() {
     );
     assert!(m.completed > 100);
     // In-order per request: seen:<tag> must equal <tag>.
-    assert_eq!(spec.kv.peek("seen:1"), Some(&Value::Int(1)));
-    assert_eq!(spec.kv.peek("seen:2"), Some(&Value::Int(2)));
+    assert_eq!(spec.rt().kv.peek("seen:1"), Some(&Value::Int(1)));
+    assert_eq!(spec.rt().kv.peek("seen:2"), Some(&Value::Int(2)));
 }
 
 #[test]
@@ -239,7 +240,7 @@ fn container_kill_makes_squashes_expensive() {
         let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&app), cfg, 5));
         // Only ONE warm container per function: destruction hurts.
         let funcs: Vec<_> = app.registry.iter().map(|(id, _)| id).collect();
-        e.cluster.prewarm_all(funcs, 1);
+        e.rt_mut().cluster.prewarm_all(funcs, 1);
         for _ in 0..3 {
             e.run_single(Value::map([("flag", Value::Bool(true))]));
         }

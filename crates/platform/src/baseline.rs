@@ -14,19 +14,22 @@
 //!   callee runs (Fig. 10(d)).
 //! * Cold containers pay container creation + runtime setup; warm
 //!   containers fork a handler instantly.
+//!
+//! The instance lifecycle itself (launch, cold start, core queueing,
+//! blocking, fault rolls, KV retry, teardown) is the platform's, in
+//! [`crate::exec`]; this core decides what a crash, a write or a call
+//! means.
 
-use specfaas_sim::hash::{FxHashMap, FxHashSet};
+use specfaas_sim::hash::FxHashMap;
 use std::sync::Arc;
 
 use specfaas_sim::trace::{Phase, TraceEventKind};
-use specfaas_sim::FaultSite;
 use specfaas_sim::{SimDuration, SimTime};
 use specfaas_storage::Value;
 use specfaas_workflow::{AppSpec, Effect, EntryKind, FuncId};
 
 use crate::cluster::NodeId;
-use crate::container::ContainerAcquire;
-use crate::exec::{FnInstance, InstanceId, InstanceState};
+use crate::exec::{InstanceId, KvAttempt, KvOp, LifecycleEvent, Resumed};
 use crate::harness::{self, EngineCore, Harness, Runtime};
 use crate::metrics::{InvocationRecord, RequestOutcome};
 use crate::workload::RequestId;
@@ -73,22 +76,32 @@ pub enum Ev {
     Complete(RequestId),
 }
 
-/// A storage operation being retried across transient KV faults.
-#[doc(hidden)]
-#[derive(Debug, Clone)]
-pub enum KvOp {
-    Get { key: String },
-    Set { key: String, value: Value },
+impl LifecycleEvent for Ev {
+    fn launch(id: InstanceId) -> Self {
+        Ev::Launch(id)
+    }
+    fn container_ready(id: InstanceId) -> Self {
+        Ev::ContainerReady(id)
+    }
+    fn resume(id: InstanceId, value: Option<Value>) -> Self {
+        Ev::Resume(id, value)
+    }
+    fn kv_retry(id: InstanceId, op: KvOp, attempt: u32) -> Self {
+        Ev::KvRetry(id, op, attempt)
+    }
+    fn timeout(id: InstanceId) -> Self {
+        Ev::Timeout(id)
+    }
 }
 
 /// Why an instance exists: a workflow-entry cursor or an implicit callee.
 #[doc(hidden)]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum InstCtx {
-    /// Executes workflow entry `entry` of request `req`.
-    Entry { req: RequestId, entry: usize },
+    /// Executes workflow entry `entry` of its request.
+    Entry { entry: usize },
     /// Executes a subroutine call on behalf of `caller`.
-    Callee { req: RequestId, caller: InstanceId },
+    Callee { caller: InstanceId },
 }
 
 #[derive(Debug)]
@@ -108,8 +121,6 @@ struct ReqState {
     joins: FxHashMap<usize, JoinState>,
     functions_run: u32,
     sequence: Vec<u32>,
-    /// Output of the last cursor to finish (the response payload).
-    last_output: Value,
     /// Counted toward metrics (arrived inside the measurement window)?
     measured: bool,
 }
@@ -135,28 +146,12 @@ pub type BaselineEngine = Harness<BaselineCore>;
 /// here.
 pub struct BaselineCore {
     /// Engine-agnostic runtime state (clock, RNG, cluster, KV, faults,
-    /// tracer, registry, metrics, generation state).
+    /// tracer, registry, metrics, generation state, instances).
     rt: Runtime<Ev>,
-    /// Retry attempt the instance is executing (absent = first attempt).
-    attempt_of: FxHashMap<InstanceId, u32>,
-    /// Instances that have acquired a container (released on teardown).
-    has_container: FxHashSet<InstanceId>,
-    instances: FxHashMap<InstanceId, FnInstance>,
-    ctxs: FxHashMap<InstanceId, InstCtx>,
+    /// Why each live instance exists, and the attempt it is executing
+    /// (1 for the first).
+    ctxs: FxHashMap<InstanceId, (InstCtx, u32)>,
     requests: FxHashMap<RequestId, ReqState>,
-}
-
-impl std::ops::Deref for BaselineCore {
-    type Target = Runtime<Ev>;
-    fn deref(&self) -> &Runtime<Ev> {
-        &self.rt
-    }
-}
-
-impl std::ops::DerefMut for BaselineCore {
-    fn deref_mut(&mut self) -> &mut Runtime<Ev> {
-        &mut self.rt
-    }
 }
 
 impl EngineCore for BaselineCore {
@@ -200,34 +195,18 @@ impl EngineCore for BaselineCore {
         self.abort_request(req);
     }
 
-    fn live_instances(&self) -> usize {
-        self.instances.len()
-    }
-
     fn stuck_requests(&self) -> Vec<String> {
         let mut ids: Vec<RequestId> = self.requests.keys().copied().collect();
         ids.sort(); // HashMap order is not deterministic
         ids.into_iter()
             .map(|rid| {
                 let req = &self.requests[&rid];
-                let mut insts: Vec<InstanceId> = self
-                    .ctxs
-                    .iter()
-                    .filter(|(_, c)| {
-                        matches!(
-                            c,
-                            InstCtx::Entry { req: r, .. } | InstCtx::Callee { req: r, .. }
-                                if *r == rid
-                        )
-                    })
-                    .map(|(id, _)| *id)
-                    .collect();
-                insts.sort();
-                let insts: Vec<String> = insts
+                let insts: Vec<String> = self
+                    .instances_of(rid)
                     .into_iter()
-                    .map(|id| match self.instances.get(&id) {
-                        Some(i) => format!("{}:{:?}:{:?}", id.0, i.func, i.state),
-                        None => format!("{}:<pending>", id.0),
+                    .map(|id| {
+                        let i = &self.rt.instances[&id];
+                        format!("{}:{:?}:{:?}", id.0, i.func, i.state)
                     })
                     .collect();
                 format!(
@@ -248,9 +227,6 @@ impl BaselineCore {
     pub fn new(app: Arc<AppSpec>, seed: u64) -> Self {
         BaselineCore {
             rt: Runtime::new(app, seed),
-            attempt_of: FxHashMap::default(),
-            has_container: FxHashSet::default(),
-            instances: FxHashMap::default(),
             ctxs: FxHashMap::default(),
             requests: FxHashMap::default(),
         }
@@ -267,13 +243,18 @@ impl BaselineCore {
         self.rt.sample_kv_gauge(now);
     }
 
-    /// Request the instance works for, for trace labelling (`u64::MAX`
-    /// when the context is already gone).
-    fn req_of(&self, id: InstanceId) -> u64 {
-        match self.ctxs.get(&id) {
-            Some(InstCtx::Entry { req, .. }) | Some(InstCtx::Callee { req, .. }) => req.0,
-            None => u64::MAX,
-        }
+    /// The live instances working for `req`, sorted by id (HashMap order
+    /// is not deterministic).
+    fn instances_of(&self, req: RequestId) -> Vec<InstanceId> {
+        let mut ids: Vec<InstanceId> = self
+            .rt
+            .instances
+            .values()
+            .filter(|i| i.req == req)
+            .map(|i| i.id)
+            .collect();
+        ids.sort();
+        ids
     }
 
     /// Submits one request at the current simulated time.
@@ -290,7 +271,6 @@ impl BaselineCore {
                 joins: FxHashMap::default(),
                 functions_run: 0,
                 sequence: Vec::new(),
-                last_output: Value::Null,
                 measured: now >= self.rt.measure_from,
             },
         );
@@ -307,7 +287,7 @@ impl BaselineCore {
     fn launch_entry(&mut self, req: RequestId, entry: usize, from: usize, payload: Value) {
         // Parallel join entries only run once all branches arrive.
         let arity = self.rt.app.compiled.entries[entry].join_arity;
-        if arity > 1 {
+        let input = if arity > 1 {
             let state = self.requests.get_mut(&req).expect("live request");
             let join = state.joins.entry(entry).or_insert(JoinState {
                 need: arity,
@@ -323,48 +303,33 @@ impl BaselineCore {
             // Declaration order, not arrival order: branch entries are
             // compiled in declaration order, so sorting by source entry
             // makes the merge independent of branch completion timing.
-            outputs.sort_by_key(|(from, _)| *from);
-            let merged: Vec<Value> = outputs.into_iter().map(|(_, v)| v).collect();
-            let merged = Value::List(merged.into());
             // Earlier arrivals already merged their cursors; the final
             // arrival continues as the single join cursor.
-            self.spawn_function(req, InstCtx::Entry { req, entry }, merged);
-            return;
-        }
-        self.spawn_function(req, InstCtx::Entry { req, entry }, payload);
-    }
-
-    /// Creates the instance and charges platform overhead.
-    fn spawn_function(&mut self, req: RequestId, ctx: InstCtx, input: Value) {
-        let func = match &ctx {
-            InstCtx::Entry { entry, .. } => self.rt.app.compiled.entries[*entry].func,
-            InstCtx::Callee { .. } => unreachable!("callee spawns go through spawn_callee"),
+            outputs.sort_by_key(|(from, _)| *from);
+            let merged: Vec<Value> = outputs.into_iter().map(|(_, v)| v).collect();
+            Value::List(merged.into())
+        } else {
+            payload
         };
-        self.spawn_named(req, ctx, func, input);
+        let func = self.rt.app.compiled.entries[entry].func;
+        self.spawn(req, InstCtx::Entry { entry }, func, input, 1);
     }
 
-    fn spawn_named(
+    /// Creates the instance (attempt `attempt` of its function) and
+    /// charges platform overhead.
+    fn spawn(
         &mut self,
         req: RequestId,
         ctx: InstCtx,
         func: FuncId,
         input: Value,
+        attempt: u32,
     ) -> InstanceId {
         let now = self.rt.sim.now();
         let ctrl = self.requests[&req].ctrl;
-        let delay = self.rt.model.platform_fixed
-            + self
-                .rt
-                .cluster
-                .controller_delay(ctrl, now, self.rt.model.controller_service);
-        let id = self.alloc_inst();
-        let node = self.rt.cluster.pick_node(func);
-        let program = self.rt.app.registry.spec(func).program.clone();
-        let child_rng = self.rt.rng.split();
-        let mut inst = FnInstance::new(id, func, node, &program, input, child_rng, now);
-        inst.breakdown.platform = delay;
-        self.instances.insert(id, inst);
-        self.ctxs.insert(id, ctx);
+        let service = self.rt.model.controller_service;
+        let id = self.rt.spawn_instance(req, func, input, ctrl, service);
+        self.ctxs.insert(id, (ctx, attempt));
         if let Some(r) = self.requests.get_mut(&req) {
             r.functions_run += 1;
         }
@@ -378,258 +343,44 @@ impl BaselineCore {
             },
         );
         if self.rt.tracer.enabled() {
-            self.rt.tracer.emit(
-                now,
-                TraceEventKind::Span {
-                    req: req.0,
-                    func: func.0,
-                    node: node.0 as u32,
-                    phase: Phase::Platform,
-                    end: now + delay,
-                },
-            );
-        }
-        self.rt.sim.schedule_in(delay, Ev::Launch(id));
-        // Invocation watchdog: the only recovery path for a hung handler.
-        if let Some(t) = self.rt.retry.invocation_timeout {
-            self.rt.sim.schedule_in(t, Ev::Timeout(id));
+            let inst = &self.rt.instances[&id];
+            let span = TraceEventKind::Span {
+                req: req.0,
+                func: func.0,
+                node: inst.node.0 as u32,
+                phase: Phase::Platform,
+                end: now + inst.breakdown.platform,
+            };
+            self.rt.tracer.emit(now, span);
         }
         id
     }
 
-    /// Handles container acquisition after platform overhead.
-    fn on_launch(&mut self, id: InstanceId) {
-        // The instance may have been torn down by a fault while the
-        // launch overhead was in flight.
-        let Some(inst) = self.instances.get_mut(&id) else {
-            return;
-        };
-        let node = inst.node;
-        let func = inst.func;
-        self.has_container.insert(id);
-        let now = self.rt.sim.now();
-        let acquired = self
-            .rt
-            .cluster
-            .acquire_container(node, func, now, &self.rt.model);
-        let req = self.req_of(id);
-        self.rt.record(
-            now,
-            TraceEventKind::ContainerAcquire {
-                req,
-                func: func.0,
-                node: node.0 as u32,
-                cold: matches!(acquired, ContainerAcquire::Cold(_)),
-            },
-        );
-        match acquired {
-            ContainerAcquire::Warm => self.try_start(id),
-            ContainerAcquire::Cold(d) => {
-                let inst = self.instances.get_mut(&id).expect("live instance");
-                inst.breakdown.container_creation = self.rt.model.container_creation;
-                inst.breakdown.runtime_setup = self.rt.model.runtime_setup;
-                inst.state = InstanceState::ColdStarting;
-                if self.rt.tracer.enabled() {
-                    let cc = if self.rt.model.container_creation < d {
-                        self.rt.model.container_creation
-                    } else {
-                        d
-                    };
-                    self.rt.tracer.emit(
-                        now,
-                        TraceEventKind::Span {
-                            req,
-                            func: func.0,
-                            node: node.0 as u32,
-                            phase: Phase::ContainerCreation,
-                            end: now + cc,
-                        },
-                    );
-                    if cc < d {
-                        self.rt.tracer.emit(
-                            now + cc,
-                            TraceEventKind::Span {
-                                req,
-                                func: func.0,
-                                node: node.0 as u32,
-                                phase: Phase::RuntimeSetup,
-                                end: now + d,
-                            },
-                        );
-                    }
-                }
-                self.rt.sim.schedule_in(d, Ev::ContainerReady(id));
-            }
-        }
-    }
-
-    /// Acquires a core or queues for one.
-    fn try_start(&mut self, id: InstanceId) {
-        let now = self.rt.sim.now();
-        let Some(inst) = self.instances.get_mut(&id) else {
-            return;
-        };
-        let node = inst.node;
-        if self.rt.cluster.node_mut(node).cores.try_acquire(now) {
-            inst.state = InstanceState::Running;
-            inst.started_at = Some(now);
-            self.rt.sim.schedule_now(Ev::Resume(id, None));
-        } else {
-            inst.state = InstanceState::WaitingCore;
-            self.rt.cluster.node_mut(node).cores.enqueue(id);
-        }
-    }
-
-    /// Releases the caller's execution slot while it blocks.
-    fn block_instance(&mut self, id: InstanceId) {
-        let now = self.rt.sim.now();
-        let Some(inst) = self.instances.get_mut(&id) else {
-            return;
-        };
-        if inst.state != InstanceState::Running {
-            return;
-        }
-        if let Some(start) = inst.started_at.take() {
-            inst.accumulated_core += now - start;
-            if self.rt.tracer.enabled() {
-                let (func, node) = (inst.func.0, inst.node.0 as u32);
-                self.rt.tracer.emit(
-                    start,
-                    TraceEventKind::Span {
-                        req: match self.ctxs.get(&id) {
-                            Some(InstCtx::Entry { req, .. })
-                            | Some(InstCtx::Callee { req, .. }) => req.0,
-                            None => u64::MAX,
-                        },
-                        func,
-                        node,
-                        phase: Phase::Execution,
-                        end: now,
-                    },
-                );
-            }
-        }
-        inst.state = InstanceState::Blocked;
-        let node = inst.node;
-        if let Some(next) = self.rt.cluster.node_mut(node).cores.release(now) {
-            self.grant_core(next, now);
-        }
-    }
-
-    /// Hands a freed slot to a queued instance and starts/resumes it.
-    fn grant_core(&mut self, next: InstanceId, now: SimTime) {
-        if let Some(w) = self.instances.get_mut(&next) {
-            w.state = InstanceState::Running;
-            w.started_at = Some(now);
-            let resume = w.pending_resume.take().unwrap_or(None);
-            self.rt.sim.schedule_now(Ev::Resume(next, resume));
-        }
-    }
-
-    /// Steps the interpreter and schedules the effect's completion.
+    /// Steps the interpreter and interprets the effect.
     fn on_resume(&mut self, id: InstanceId, resume: Option<Value>) {
-        // A blocked instance must re-acquire an execution slot first.
-        let now = self.rt.sim.now();
-        if self
-            .instances
-            .get(&id)
-            .map(|i| i.state == InstanceState::Blocked)
-            .unwrap_or(false)
-        {
-            let inst = self.instances.get_mut(&id).expect("live");
-            let node = inst.node;
-            if self.rt.cluster.node_mut(node).cores.try_acquire(now) {
-                let inst = self.instances.get_mut(&id).expect("live");
-                inst.state = InstanceState::Running;
-                inst.started_at = Some(now);
-                // fall through and step with the resume value
-            } else {
-                let inst = self.instances.get_mut(&id).expect("live");
-                inst.pending_resume = Some(resume);
-                inst.state = InstanceState::WaitingCore;
-                self.rt.cluster.node_mut(node).cores.enqueue(id);
-                return;
-            }
-        }
-        // Fault injection at the step boundary: the handler's container
-        // crashes, or the handler wedges (hang) and stops making progress.
-        // Only before the handler externalizes a write: the baseline
-        // applies writes eagerly, so a retry of a partially externalized
-        // handler would double-apply non-idempotent effects. We model
-        // crashes as fail-stop before the point of no return (real
-        // platforms demand idempotent handlers for at-least-once retry).
-        if self.rt.faults.enabled()
-            && self
-                .instances
-                .get(&id)
-                .map(|i| !i.externalized)
-                .unwrap_or(false)
-        {
-            if self.rt.faults.roll(FaultSite::ContainerCrash, now) {
-                let req = self.req_of(id);
-                self.rt.record(
-                    now,
-                    TraceEventKind::FaultInjected {
-                        req,
-                        site: "container_crash",
-                    },
-                );
-                self.fault_instance(id);
-                return;
-            }
-            if self.rt.faults.roll(FaultSite::Hang, now) {
-                let req = self.req_of(id);
-                self.rt
-                    .record(now, TraceEventKind::FaultInjected { req, site: "hang" });
-                // The wedged handler keeps its core and container but
-                // schedules nothing further; only the invocation
-                // watchdog (if configured) can recover it.
-                return;
-            }
-        }
-        let Some(inst) = self.instances.get_mut(&id) else {
-            return; // squashed / stale event
-        };
-        let effect = match inst.step(resume) {
-            Ok(e) => e,
-            Err(err) => {
-                // A failed invocation: treat as completing with an error
-                // document so the workflow can proceed deterministically.
-                let out = Value::map([("error", Value::str(err.to_string()))]);
-                self.finish_instance(id, out);
-                return;
-            }
+        let effect = match self.rt.resume(id, resume) {
+            Resumed::Parked => return,
+            Resumed::Crashed => return self.fault_instance(id),
+            Resumed::Effect(effect) => effect,
         };
         match effect {
-            Effect::Compute(d) => {
-                inst.breakdown.execution += d;
-                self.rt.sim.schedule_in(d, Ev::Resume(id, None));
-            }
             Effect::Get { key } => self.kv_access(id, KvOp::Get { key }, 1),
             Effect::Set { key, value } => self.kv_access(id, KvOp::Set { key, value }, 1),
             Effect::Http { .. } => {
                 let lat = self.rt.model.http_latency;
+                let inst = self.rt.instances.get_mut(&id).expect("live instance");
                 inst.breakdown.execution += lat;
                 self.rt.sim.schedule_in(lat, Ev::Resume(id, None));
             }
-            Effect::FileWrite { name, data } => {
-                inst.files.insert(name, data);
-                self.rt.sim.schedule_now(Ev::Resume(id, None));
-            }
-            Effect::FileRead { name } => {
-                let v = inst.files.get(&name).cloned().unwrap_or(Value::Null);
-                self.rt.sim.schedule_now(Ev::Resume(id, Some(v)));
-            }
             Effect::Call { func, args } => {
-                // Implicit workflow: spawn the callee; the caller blocks
-                // holding its core (Fig. 10(d)).
-                let (InstCtx::Entry { req, .. } | InstCtx::Callee { req, .. }) = self.ctxs[&id];
-                // The caller's handler blocks on the RPC; the OS yields
-                // its hardware thread (the container slot stays held).
-                self.block_instance(id);
+                // Implicit workflow: spawn the callee; the caller's
+                // handler blocks on the RPC and the OS yields its hardware
+                // thread (the container slot stays held, Fig. 10(d)).
+                let req = self.rt.instances[&id].req;
+                self.rt.block(id);
                 match self.rt.app.registry.lookup(&func) {
                     Some(callee) => {
-                        self.spawn_named(req, InstCtx::Callee { req, caller: id }, callee, args);
+                        self.spawn(req, InstCtx::Callee { caller: id }, callee, args, 1);
                     }
                     None => {
                         // Unknown callee: resolve to Null after an RPC hop.
@@ -640,10 +391,9 @@ impl BaselineCore {
                     }
                 }
             }
-            Effect::Done(out) => {
-                inst.state = InstanceState::Done;
-                inst.output = Some(out.clone());
-                self.finish_instance(id, out);
+            Effect::Done(out) => self.finish_instance(id, out),
+            Effect::Compute(_) | Effect::FileRead { .. } | Effect::FileWrite { .. } => {
+                unreachable!("completed by Runtime::step")
             }
         }
     }
@@ -651,117 +401,13 @@ impl BaselineCore {
     /// Releases resources and routes the output onward.
     fn finish_instance(&mut self, id: InstanceId, output: Value) {
         let now = self.rt.sim.now();
-        let inst = self.instances.remove(&id).expect("live instance");
-        let ctx = self.ctxs.remove(&id).expect("instance context");
-        self.attempt_of.remove(&id);
-        self.has_container.remove(&id);
-        // Account useful core time and release the slot.
-        if let Some(start) = inst.started_at {
-            self.rt.metrics.useful_core_time += inst.accumulated_core + (now - start);
-            if self.rt.tracer.enabled() {
-                let req = match &ctx {
-                    InstCtx::Entry { req, .. } | InstCtx::Callee { req, .. } => req.0,
-                };
-                self.rt.tracer.emit(
-                    start,
-                    TraceEventKind::Span {
-                        req,
-                        func: inst.func.0,
-                        node: inst.node.0 as u32,
-                        phase: Phase::Execution,
-                        end: now,
-                    },
-                );
-            }
-            if let Some(next) = self.rt.cluster.node_mut(inst.node).cores.release(now) {
-                self.grant_core(next, now);
-            }
-        }
-        self.rt
-            .cluster
-            .release_container(inst.node, inst.func, now, true);
-        self.rt.metrics.breakdowns.push(inst.breakdown);
-
-        match ctx {
-            InstCtx::Entry { req, entry } => {
-                let Some(state) = self.requests.get_mut(&req) else {
-                    return;
-                };
-                state.sequence.push(inst.func.0);
-                state.last_output = output.clone();
-                let ctrl = state.ctrl;
-                // Conductor / transfer overhead for the next transition.
-                let transfer = self.rt.model.transfer_fixed
-                    + self
-                        .rt
-                        .cluster
-                        .controller_delay(ctrl, now, self.rt.model.conductor_service);
-                match self.rt.app.compiled.entries[entry].kind.clone() {
-                    EntryKind::Simple { next } => match next {
-                        Some(n) => {
-                            self.charge_transfer(id, transfer);
-                            self.rt.sim.schedule_in(
-                                transfer,
-                                Ev::Transfer {
-                                    req,
-                                    from: entry,
-                                    entry: n,
-                                    payload: output,
-                                },
-                            );
-                        }
-                        None => self.cursor_done(req),
-                    },
-                    EntryKind::Branch {
-                        field,
-                        taken,
-                        not_taken,
-                    } => {
-                        let cond = match &field {
-                            Some(f) => output.get_field(f).cloned().unwrap_or(Value::Null),
-                            None => output.clone(),
-                        };
-                        let target = if cond.truthy() { taken } else { not_taken };
-                        match target {
-                            Some(n) => {
-                                // Branch functions route: the selected
-                                // target receives the branch's *input*
-                                // payload (§VIII-B: successors of a branch
-                                // take the same input as the branch).
-                                let payload = inst.interp.input().clone();
-                                self.charge_transfer(id, transfer);
-                                self.rt.sim.schedule_in(
-                                    transfer,
-                                    Ev::Transfer {
-                                        req,
-                                        from: entry,
-                                        entry: n,
-                                        payload,
-                                    },
-                                );
-                            }
-                            None => self.cursor_done(req),
-                        }
-                    }
-                    EntryKind::Fork { branches, join: _ } => {
-                        let state = self.requests.get_mut(&req).expect("live request");
-                        state.cursors += branches.len() as u32 - 1;
-                        self.charge_transfer(id, transfer);
-                        for b in branches {
-                            self.rt.sim.schedule_in(
-                                transfer,
-                                Ev::Transfer {
-                                    req,
-                                    from: entry,
-                                    entry: b,
-                                    payload: output.clone(),
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            InstCtx::Callee { req, caller } => {
+        let inst = self.rt.finish(id).expect("live instance");
+        let (ctx, _) = self.ctxs.remove(&id).expect("instance context");
+        self.rt.metrics.useful_core_time += inst.core_time(now);
+        let req = inst.req;
+        let entry = match ctx {
+            InstCtx::Entry { entry } => entry,
+            InstCtx::Callee { caller } => {
                 if let Some(state) = self.requests.get_mut(&req) {
                     state.sequence.push(inst.func.0);
                 }
@@ -770,11 +416,61 @@ impl BaselineCore {
                     self.rt.model.transfer_fixed,
                     Ev::Resume(caller, Some(output)),
                 );
+                return;
             }
+        };
+        let Some(state) = self.requests.get_mut(&req) else {
+            return;
+        };
+        state.sequence.push(inst.func.0);
+        let ctrl = state.ctrl;
+        // Conductor / transfer overhead for the next transition.
+        let transfer = self.rt.model.transfer_fixed
+            + self
+                .rt
+                .cluster
+                .controller_delay(ctrl, now, self.rt.model.conductor_service);
+        let app = Arc::clone(&self.rt.app);
+        let (targets, payload) = match &app.compiled.entries[entry].kind {
+            EntryKind::Simple { next } => (next.as_slice(), output),
+            EntryKind::Branch {
+                field,
+                taken,
+                not_taken,
+            } => {
+                let cond = match field {
+                    Some(f) => output.get_field(f).cloned().unwrap_or(Value::Null),
+                    None => output,
+                };
+                let target = if cond.truthy() { taken } else { not_taken };
+                // Branch functions route: the selected target receives
+                // the branch's *input* payload (§VIII-B: successors of a
+                // branch take the same input as the branch).
+                (target.as_slice(), inst.interp.input().clone())
+            }
+            EntryKind::Fork { branches, join: _ } => (branches.as_slice(), output),
+        };
+        if targets.is_empty() {
+            return self.cursor_done(req);
+        }
+        // A fork turns this cursor into one per branch.
+        let state = self.requests.get_mut(&req).expect("live request");
+        state.cursors += targets.len() as u32 - 1;
+        self.charge_transfer(transfer);
+        for &to in targets {
+            self.rt.sim.schedule_in(
+                transfer,
+                Ev::Transfer {
+                    req,
+                    from: entry,
+                    entry: to,
+                    payload: payload.clone(),
+                },
+            );
         }
     }
 
-    fn charge_transfer(&mut self, _id: InstanceId, transfer: SimDuration) {
+    fn charge_transfer(&mut self, transfer: SimDuration) {
         // Transfer time is attributed at the request level via breakdowns
         // of subsequent launches; record it on the last pushed breakdown.
         if let Some(b) = self.rt.metrics.breakdowns.last_mut() {
@@ -790,170 +486,55 @@ impl BaselineCore {
     /// first. A faulted operation retries after exponential backoff;
     /// exhausting the retry budget escalates to an instance fault.
     fn kv_access(&mut self, id: InstanceId, op: KvOp, attempt: u32) {
-        if !self.instances.contains_key(&id) {
+        if !self.rt.instances.contains_key(&id) {
             return; // instance torn down while a retry was pending
         }
-        let now = self.rt.sim.now();
-        let site = match &op {
-            KvOp::Get { .. } => FaultSite::KvGet,
-            KvOp::Set { .. } => FaultSite::KvSet,
-        };
-        if self.rt.faults.enabled() && self.rt.faults.roll(site, now) {
-            let site = match &op {
-                KvOp::Get { .. } => "kv_get",
-                KvOp::Set { .. } => "kv_set",
-            };
-            let req = self.req_of(id);
-            self.rt
-                .record(now, TraceEventKind::FaultInjected { req, site });
-            if attempt >= self.rt.retry.max_attempts {
-                self.fault_instance(id);
-                return;
-            }
-            let backoff = self.rt.retry.backoff(attempt);
-            if let Some(inst) = self.instances.get_mut(&id) {
-                inst.breakdown.retry_backoff += backoff;
-            }
-            let func = self
-                .instances
-                .get(&id)
-                .map(|i| i.func.0)
-                .unwrap_or(u32::MAX);
-            self.rt.record(
-                now,
-                TraceEventKind::RetryBackoff {
-                    req,
-                    func,
-                    attempt: attempt + 1,
-                    backoff,
-                },
-            );
-            self.rt.metrics.faults.retried += 1;
-            self.rt
-                .sim
-                .schedule_in(backoff, Ev::KvRetry(id, op, attempt + 1));
-            return;
+        let write = matches!(op, KvOp::Set { .. });
+        match self.rt.kv_attempt(id, write, attempt, || op.clone()) {
+            KvAttempt::Proceed => {}
+            KvAttempt::Retrying => return,
+            KvAttempt::Exhausted => return self.fault_instance(id),
         }
         match op {
             KvOp::Get { key } => {
                 let lat = self.rt.kv.latency().read;
                 let val = self.rt.kv.get(&key).cloned().unwrap_or(Value::Null);
-                if let Some(inst) = self.instances.get_mut(&id) {
-                    inst.breakdown.execution += lat;
-                }
-                self.rt.kv_issued(now + lat, false);
-                self.rt.sim.schedule_in(lat, Ev::Resume(id, Some(val)));
+                self.rt.storage_done(id, lat, false, Some(val));
             }
             KvOp::Set { key, value } => {
                 let lat = self.rt.kv.latency().write;
                 self.rt.kv.set(key, value);
-                if let Some(inst) = self.instances.get_mut(&id) {
-                    inst.breakdown.execution += lat;
-                    inst.externalized = true;
-                }
-                self.rt.kv_issued(now + lat, true);
-                // Retrying a caller replays its whole call subtree, so a
-                // callee's write externalizes every transitive caller too.
+                // The write is the point of no return for fault injection
+                // (`FnInstance::externalized`). Retrying a caller replays
+                // its whole call subtree, so a callee's write externalizes
+                // every transitive caller too.
                 let mut cur = id;
-                while let Some(InstCtx::Callee { caller, .. }) = self.ctxs.get(&cur) {
-                    let caller = *caller;
-                    if let Some(ci) = self.instances.get_mut(&caller) {
-                        ci.externalized = true;
+                loop {
+                    if let Some(inst) = self.rt.instances.get_mut(&cur) {
+                        inst.externalized = true;
                     }
-                    cur = caller;
-                }
-                self.rt.sim.schedule_in(lat, Ev::Resume(id, None));
-            }
-        }
-    }
-
-    /// Force-removes an instance that died (crash, hang timeout,
-    /// exhausted KV retries, or request abort), releasing whatever core
-    /// slot, queue position and container it holds. Its container is not
-    /// reusable: the handler did not exit cleanly.
-    fn teardown_instance(&mut self, id: InstanceId) -> Option<FnInstance> {
-        let now = self.rt.sim.now();
-        let inst = self.instances.remove(&id)?;
-        let charge_req = self.req_of(id);
-        match inst.state {
-            InstanceState::Running => {
-                let wasted = inst.accumulated_core
-                    + inst
-                        .started_at
-                        .map(|s| now - s)
-                        .unwrap_or(SimDuration::ZERO);
-                self.rt
-                    .charge_squashed(charge_req, inst.func, "teardown", 0, wasted);
-                if self.rt.tracer.enabled() {
-                    if let Some(s) = inst.started_at {
-                        let req = self.req_of(id);
-                        self.rt.tracer.emit(
-                            s,
-                            TraceEventKind::Span {
-                                req,
-                                func: inst.func.0,
-                                node: inst.node.0 as u32,
-                                phase: Phase::Execution,
-                                end: now,
-                            },
-                        );
+                    match self.ctxs.get(&cur) {
+                        Some((InstCtx::Callee { caller }, _)) => cur = *caller,
+                        _ => break,
                     }
                 }
-                if inst.started_at.is_some() {
-                    if let Some(next) = self.rt.cluster.node_mut(inst.node).cores.release(now) {
-                        self.grant_core(next, now);
-                    }
-                }
+                self.rt.storage_done(id, lat, true, None);
             }
-            InstanceState::Blocked => {
-                self.rt.charge_squashed(
-                    charge_req,
-                    inst.func,
-                    "teardown",
-                    0,
-                    inst.accumulated_core,
-                );
-            }
-            InstanceState::WaitingCore => {
-                // Past blocked stints count as wasted work even though no
-                // core is held at teardown time.
-                self.rt.charge_squashed(
-                    charge_req,
-                    inst.func,
-                    "teardown",
-                    0,
-                    inst.accumulated_core,
-                );
-                self.rt
-                    .cluster
-                    .node_mut(inst.node)
-                    .cores
-                    .remove_waiter(|w| *w == id);
-            }
-            _ => {}
         }
-        if self.has_container.remove(&id) {
-            self.rt
-                .cluster
-                .release_container(inst.node, inst.func, now, false);
-        }
-        Some(inst)
     }
 
     /// An instance suffered an unrecoverable-in-place fault: tear it
-    /// down, then relaunch the same function after backoff — or abort
+    /// down (its container is not reusable: the handler did not exit
+    /// cleanly), then relaunch the same function after backoff — or abort
     /// the whole request once the retry budget is exhausted.
     fn fault_instance(&mut self, id: InstanceId) {
-        let Some(inst) = self.teardown_instance(id) else {
+        let Some(inst) = self.rt.stop(id, "teardown", 0, false) else {
             return;
         };
-        let Some(ctx) = self.ctxs.remove(&id) else {
+        let Some((ctx, attempt)) = self.ctxs.remove(&id) else {
             return;
         };
-        let attempt = self.attempt_of.remove(&id).unwrap_or(1);
-        let req = match &ctx {
-            InstCtx::Entry { req, .. } | InstCtx::Callee { req, .. } => *req,
-        };
+        let req = inst.req;
         if !self.requests.contains_key(&req) {
             return; // request already aborted
         }
@@ -964,17 +545,18 @@ impl BaselineCore {
         self.rt.metrics.faults.retried += 1;
         let input = inst.interp.input().clone();
         let now = self.rt.sim.now();
+        let backoff = self.rt.retry.backoff(attempt);
         self.rt.record(
             now,
             TraceEventKind::RetryBackoff {
                 req: req.0,
                 func: inst.func.0,
                 attempt: attempt + 1,
-                backoff: self.rt.retry.backoff(attempt),
+                backoff,
             },
         );
         self.rt.sim.schedule_in(
-            self.rt.retry.backoff(attempt),
+            backoff,
             Ev::Retry {
                 req,
                 ctx,
@@ -985,39 +567,6 @@ impl BaselineCore {
         );
     }
 
-    /// Invocation watchdog: a handler still live past the timeout is
-    /// treated as hung and goes through the instance fault path. A
-    /// blocked caller (legitimately waiting on a live callee) gets its
-    /// watchdog re-armed instead of killed.
-    fn on_timeout(&mut self, id: InstanceId) {
-        let Some(inst) = self.instances.get(&id) else {
-            return;
-        };
-        if !self.ctxs.contains_key(&id) {
-            return;
-        }
-        match inst.state {
-            InstanceState::Done => {}
-            InstanceState::Blocked => {
-                if let Some(t) = self.rt.retry.invocation_timeout {
-                    self.rt.sim.schedule_in(t, Ev::Timeout(id));
-                }
-            }
-            _ => {
-                let now = self.rt.sim.now();
-                let req = self.req_of(id);
-                self.rt.record(
-                    now,
-                    TraceEventKind::FaultInjected {
-                        req,
-                        site: "timeout",
-                    },
-                );
-                self.fault_instance(id);
-            }
-        }
-    }
-
     /// Terminally fails a request after its retry budget is exhausted
     /// (or it wedged with no recovery path): tears down every instance
     /// still working for it and records a [`RequestOutcome::Failed`].
@@ -1026,20 +575,9 @@ impl BaselineCore {
         let Some(state) = self.requests.remove(&req) else {
             return;
         };
-        let mut victims: Vec<InstanceId> = self
-            .ctxs
-            .iter()
-            .filter(|(_, c)| {
-                matches!(c, InstCtx::Entry { req: r, .. } | InstCtx::Callee { req: r, .. } if *r == req)
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        victims.sort(); // HashMap order is not deterministic
-        for id in victims {
-            // Teardown first so trace spans can still resolve the request.
-            self.teardown_instance(id);
+        for id in self.instances_of(req) {
+            self.rt.stop(id, "teardown", 0, false);
             self.ctxs.remove(&id);
-            self.attempt_of.remove(&id);
         }
         self.rt.record(
             now,
@@ -1107,8 +645,8 @@ impl BaselineCore {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Arrival => harness::handle_arrival(self),
-            Ev::Launch(id) => self.on_launch(id),
-            Ev::ContainerReady(id) => self.try_start(id),
+            Ev::Launch(id) => self.rt.on_launch(id),
+            Ev::ContainerReady(id) => self.rt.try_start(id),
             Ev::Resume(id, v) => self.on_resume(id, v),
             Ev::Transfer {
                 req,
@@ -1129,8 +667,7 @@ impl BaselineCore {
                 attempt,
             } => {
                 if self.requests.contains_key(&req) {
-                    let id = self.spawn_named(req, ctx, func, input);
-                    self.attempt_of.insert(id, attempt);
+                    let id = self.spawn(req, ctx, func, input, attempt);
                     let now = self.rt.sim.now();
                     self.rt.record(
                         now,
@@ -1141,7 +678,11 @@ impl BaselineCore {
                     );
                 }
             }
-            Ev::Timeout(id) => self.on_timeout(id),
+            Ev::Timeout(id) => {
+                if self.rt.watchdog_fired(id) {
+                    self.fault_instance(id);
+                }
+            }
             Ev::Complete(req) => self.on_complete(req),
         }
         // Gauges observe post-event state; a disabled registry makes this
@@ -1249,8 +790,8 @@ mod tests {
         // + response return 1ms ≈ 45ms; allow slack.
         assert!(d > SimDuration::from_millis(30), "too fast: {d}");
         assert!(d < SimDuration::from_millis(70), "too slow: {d}");
-        assert_eq!(e.metrics.records.len(), 1);
-        let rec = &e.metrics.records[0];
+        assert_eq!(e.rt().metrics.records.len(), 1);
+        let rec = &e.rt().metrics.records[0];
         assert_eq!(rec.sequence, vec![0, 1, 2]);
         assert_eq!(rec.functions_run, 3);
     }
@@ -1264,7 +805,7 @@ mod tests {
             d > SimDuration::from_millis(3 * 1850),
             "3 cold starts expected: {d}"
         );
-        assert_eq!(e.cluster.cold_starts(), 3);
+        assert_eq!(e.rt().cluster.cold_starts(), 3);
     }
 
     #[test]
@@ -1273,7 +814,7 @@ mod tests {
         let cold = e.run_single(Value::Null);
         let warm = e.run_single(Value::Null);
         assert!(warm < cold / 10);
-        assert_eq!(e.cluster.cold_starts(), 3, "no new cold starts");
+        assert_eq!(e.rt().cluster.cold_starts(), 3, "no new cold starts");
     }
 
     #[test]
@@ -1285,8 +826,8 @@ mod tests {
         e.run_single(Value::map([("x", Value::Int(5))]));
         let yes = app.registry.lookup("yes").unwrap().0;
         let no = app.registry.lookup("no").unwrap().0;
-        assert_eq!(e.metrics.records[0].sequence[1], yes);
-        assert_eq!(e.metrics.records[1].sequence[1], no);
+        assert_eq!(e.rt().metrics.records[0].sequence[1], yes);
+        assert_eq!(e.rt().metrics.records[1].sequence[1], no);
     }
 
     #[test]
@@ -1297,7 +838,7 @@ mod tests {
         // Root compute 6ms + two callees 4ms each + overheads, strictly
         // sequential.
         assert!(d > SimDuration::from_millis(14), "too fast: {d}");
-        let rec = &e.metrics.records[0];
+        let rec = &e.rt().metrics.records[0];
         // Callees complete before the root.
         assert_eq!(rec.functions_run, 3);
         assert_eq!(rec.sequence.len(), 3);
@@ -1340,7 +881,7 @@ mod tests {
         let mut e = BaselineEngine::new(BaselineCore::new(Arc::new(app), 3));
         e.prewarm();
         e.run_single(Value::Null);
-        let rec = &e.metrics.records[0];
+        let rec = &e.rt().metrics.records[0];
         assert_eq!(rec.functions_run, 4);
         // join sees a 2-element list; last committed function is join (id 3).
         assert_eq!(*rec.sequence.last().unwrap(), 3);
@@ -1385,7 +926,7 @@ mod tests {
         let mut e = BaselineEngine::new(BaselineCore::new(Arc::new(app), 1));
         e.prewarm();
         e.run_single(Value::Null);
-        assert_eq!(e.kv.peek("shared"), Some(&Value::Int(41)));
+        assert_eq!(e.rt().kv.peek("shared"), Some(&Value::Int(41)));
         assert_eq!(e.requests.len(), 0, "request state cleaned up");
     }
 
@@ -1394,7 +935,7 @@ mod tests {
         let mut e = BaselineEngine::new(BaselineCore::new(Arc::new(chain_app()), 1));
         e.prewarm();
         e.run_single(Value::Null);
-        let mean = crate::metrics::Breakdown::mean_of(&e.metrics.breakdowns);
+        let mean = crate::metrics::Breakdown::mean_of(&e.rt().metrics.breakdowns);
         let frac = mean.execution_fraction();
         assert!(
             (0.25..=0.55).contains(&frac),
@@ -1484,7 +1025,7 @@ mod tests {
         let m = e.run_closed(10, |_| Value::Null);
         assert_eq!(m.completed, 10);
         assert!(m.faults.kv_errors > 0);
-        assert_eq!(e.kv.peek("shared"), Some(&Value::Int(41)));
+        assert_eq!(e.rt().kv.peek("shared"), Some(&Value::Int(41)));
     }
 
     #[test]
@@ -1516,7 +1057,7 @@ mod tests {
         // step the simulation dry: the injected hang wedges the request
         // with no event left to wake it.
         let req = e.core.admit(Value::Null);
-        while let Some((_, ev)) = e.sim.step() {
+        while let Some((_, ev)) = e.rt_mut().sim.step() {
             e.core.dispatch(ev);
         }
         let report = e.stuck_report();

@@ -9,8 +9,10 @@
 //!   queue, workload RNG, cluster (warm-container pools, cores,
 //!   controllers), KV store, fault injector + retry policy, flight
 //!   recorder, time-series registry, run metrics and open/closed-loop
-//!   generation state. It is embedded *inside* each core so engine code
-//!   accesses it as plain fields — no virtual dispatch on hot paths.
+//!   generation state, and the live function instances, whose lifecycle
+//!   mechanics live in [`crate::exec`]. It is embedded *inside* each core
+//!   so engine code accesses it as plain fields (`self.rt.…`) — no
+//!   virtual dispatch on hot paths.
 //!   Engines report every counted occurrence through one
 //!   [`Runtime::record`] call, which feeds the registry counters, the
 //!   heavy-hitter sketches, the event-mirroring [`RunMetrics`] counters
@@ -43,8 +45,10 @@ use specfaas_sim::{SimDuration, SimRng, SimTime, Simulator};
 use specfaas_storage::{KvStore, Value};
 use specfaas_workflow::{AppSpec, FuncId};
 
+use specfaas_sim::hash::FxHashMap;
+
 use crate::cluster::Cluster;
-use crate::exec::InstanceId;
+use crate::exec::{FnInstance, InstanceId};
 use crate::metrics::{InvocationRecord, RunMetrics};
 use crate::overheads::OverheadModel;
 use crate::policy::PolicyConfig;
@@ -126,6 +130,10 @@ pub struct Runtime<Ev> {
     /// Closed-loop mode: each completion immediately submits the next
     /// request (bounded concurrency, like a fixed client pool).
     pub closed_loop: bool,
+    /// Live function instances. Their lifecycle mechanics (launch, core
+    /// queueing, blocking, fault rolls, KV retry, teardown) live in
+    /// [`crate::exec`].
+    pub instances: FxHashMap<InstanceId, FnInstance>,
     /// Next function-instance id to allocate.
     pub next_inst: u64,
     /// Next request id to allocate.
@@ -163,6 +171,7 @@ impl<Ev> Runtime<Ev> {
             input_gen: None,
             measure_from: SimTime::ZERO,
             closed_loop: false,
+            instances: FxHashMap::default(),
             next_inst: 0,
             next_req: 0,
         }
@@ -405,8 +414,8 @@ impl<Ev> Runtime<Ev> {
 /// The per-request admit/dispatch/drain semantics of one execution
 /// engine, driven generically by a [`Harness`].
 ///
-/// A core owns its policy state (pipelines, predictors, instance tables)
-/// plus an embedded [`Runtime`]; the harness owns load generation and
+/// A core owns its policy state (pipelines, predictors, what each
+/// instance works on) plus an embedded [`Runtime`]; the harness owns load generation and
 /// instrument attachment. The split is the same one open-source platforms
 /// draw between gateway/driver and executor.
 pub trait EngineCore {
@@ -450,7 +459,9 @@ pub trait EngineCore {
     fn abort(&mut self, req: RequestId);
 
     /// Number of live function instances (end-of-run leak invariant).
-    fn live_instances(&self) -> usize;
+    fn live_instances(&self) -> usize {
+        self.rt().instances.len()
+    }
 
     /// Diagnostic lines describing each live (possibly stuck) request —
     /// see [`Harness::stuck_report`].
@@ -522,9 +533,9 @@ pub fn closed_loop_resubmit<E: EngineCore>(core: &mut E) {
 /// Generic engine driver: owns the four load drivers and all instrument
 /// (fault/tracer/registry) attachment, for any [`EngineCore`].
 ///
-/// Dereferences to the core (and transitively to its [`Runtime`]), so
-/// `engine.kv`, `engine.cluster`, `engine.metrics` … remain plain field
-/// accesses for experiments.
+/// Dereferences to the core; experiments reach runtime state through
+/// [`EngineCore::rt`]/[`EngineCore::rt_mut`] (`engine.rt().kv`,
+/// `engine.rt_mut().cluster`, …).
 pub struct Harness<E: EngineCore> {
     /// The engine core being driven.
     pub core: E,

@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use specfaas_platform::EngineCore;
 use specfaas_platform::{BaselineCore, BaselineEngine};
 use specfaas_sim::{SimDuration, SimRng};
 use specfaas_storage::Value;
@@ -112,10 +113,10 @@ fn cold_start_only_once_per_container() {
     let mut e = BaselineEngine::new(BaselineCore::new(Arc::clone(&app), 5));
     // No prewarm: 3 cold starts, then warm reuse.
     e.run_single(Value::Null);
-    assert_eq!(e.cluster.cold_starts(), 3);
+    assert_eq!(e.rt().cluster.cold_starts(), 3);
     e.run_single(Value::Null);
     assert_eq!(
-        e.cluster.cold_starts(),
+        e.rt().cluster.cold_starts(),
         3,
         "second request reuses containers"
     );

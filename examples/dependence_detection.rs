@@ -44,7 +44,7 @@ fn main() {
     cfg.stall_after_squashes = 2;
     let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), cfg, 11));
     spec.prewarm();
-    spec.kv.set("inventory", Value::Int(100));
+    spec.rt_mut().kv.set("inventory", Value::Int(100));
 
     let request = Value::map([("order", Value::Int(9001))]);
     for i in 0..6 {
@@ -59,9 +59,9 @@ fn main() {
     }
     println!(
         "\nfinal inventory: {} (100 - 6 reservations, despite speculation)",
-        spec.kv.peek("inventory").unwrap()
+        spec.rt().kv.peek("inventory").unwrap()
     );
-    assert_eq!(spec.kv.peek("inventory"), Some(&Value::Int(94)));
+    assert_eq!(spec.rt().kv.peek("inventory"), Some(&Value::Int(94)));
     assert!(
         spec.stall_list().stalls_avoided() > 0,
         "stall list should have engaged"

@@ -52,21 +52,21 @@ fn main() {
     //    predecessor, paying platform + conductor overheads in between.
     let mut baseline = BaselineEngine::new(BaselineCore::new(Arc::clone(&app), 42));
     baseline.prewarm();
-    baseline.kv.set("config", Value::Int(2));
+    baseline.rt_mut().kv.set("config", Value::Int(2));
     let base_time = baseline.run_single(request.clone());
     println!("baseline response:  {base_time}");
-    assert_eq!(baseline.kv.peek("last_result"), Some(&Value::Int(42)));
+    assert_eq!(baseline.rt().kv.peek("last_result"), Some(&Value::Int(42)));
 
     // 3. SpecFaaS: the same requests with speculative execution. The
     //    first request trains the branch predictor and memoization
     //    tables; later identical requests overlap all three functions.
     let mut spec = SpecEngine::new(SpecCore::new(Arc::clone(&app), SpecConfig::full(), 42));
     spec.prewarm();
-    spec.kv.set("config", Value::Int(2));
+    spec.rt_mut().kv.set("config", Value::Int(2));
     spec.run_single(request.clone()); // training invocation
     let spec_time = spec.run_single(request);
     println!("SpecFaaS response:  {spec_time}");
-    assert_eq!(spec.kv.peek("last_result"), Some(&Value::Int(42)));
+    assert_eq!(spec.rt().kv.peek("last_result"), Some(&Value::Int(42)));
 
     println!(
         "speedup:            {:.2}x",

@@ -28,7 +28,7 @@ fn main() {
     let mut base = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), 7));
     base.prewarm();
     let mut rng = SimRng::seed(7);
-    (bundle.seed)(&mut base.kv, &mut rng);
+    (bundle.seed)(&mut base.rt_mut().kv, &mut rng);
     let gen = bundle.make_input.clone();
     let mut mb = base.run_open(100.0, duration, warmup, move |r| gen(r));
 
@@ -40,7 +40,7 @@ fn main() {
     ));
     spec.prewarm();
     let mut rng = SimRng::seed(7);
-    (bundle.seed)(&mut spec.kv, &mut rng);
+    (bundle.seed)(&mut spec.rt_mut().kv, &mut rng);
     let gen = bundle.make_input.clone();
     spec.run_closed(300, move |r| gen(r));
     let gen = bundle.make_input.clone();

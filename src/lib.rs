@@ -68,7 +68,7 @@ pub use specfaas_workflow as workflow;
 /// baseline and SpecFaaS engines, and inspecting results.
 pub mod prelude {
     pub use specfaas_core::{SpecConfig, SpecCore, SpecEngine, SquashMechanism};
-    pub use specfaas_platform::{BaselineCore, BaselineEngine, Load, RunMetrics};
+    pub use specfaas_platform::{BaselineCore, BaselineEngine, EngineCore, Load, RunMetrics};
     pub use specfaas_sim::{FaultPlan, FaultSite, RetryPolicy, SimDuration, SimRng, SimTime};
     pub use specfaas_storage::{KvStore, Value};
     pub use specfaas_workflow::expr::*;

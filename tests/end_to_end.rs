@@ -52,8 +52,8 @@ fn speculative_execution_preserves_program_semantics() {
     for i in 0..6 {
         let key = format!("audit:{i}");
         assert_eq!(
-            base.kv.peek(&key),
-            spec.kv.peek(&key),
+            base.rt().kv.peek(&key),
+            spec.rt().kv.peek(&key),
             "speculation changed observable state at {key}"
         );
     }
@@ -78,7 +78,7 @@ fn speculation_gets_faster_with_training_and_never_wrong() {
     for i in 0..8 {
         v = v * 3 + i;
     }
-    assert_eq!(spec.kv.peek("audit:7"), Some(&Value::Int(v)));
+    assert_eq!(spec.rt().kv.peek("audit:7"), Some(&Value::Int(v)));
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn all_16_paper_apps_agree_between_engines() {
             let mut base = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), 9));
             base.prewarm();
             let mut srng = SimRng::seed(9);
-            (bundle.seed)(&mut base.kv, &mut srng);
+            (bundle.seed)(&mut base.rt_mut().kv, &mut srng);
             base.run_single(input.clone());
             let mb = base.run_closed(0, |_| Value::Null);
 
@@ -104,7 +104,7 @@ fn all_16_paper_apps_agree_between_engines() {
             ));
             spec.prewarm();
             let mut srng = SimRng::seed(9);
-            (bundle.seed)(&mut spec.kv, &mut srng);
+            (bundle.seed)(&mut spec.rt_mut().kv, &mut srng);
             spec.run_single(input);
             let ms = spec.run_closed(0, |_| Value::Null);
 
@@ -214,7 +214,7 @@ fn spec_under_survivable_faults_matches_fault_free_baseline_state() {
             let mut base = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), 9));
             base.prewarm();
             let mut srng = SimRng::seed(9);
-            (bundle.seed)(&mut base.kv, &mut srng);
+            (bundle.seed)(&mut base.rt_mut().kv, &mut srng);
             for i in &inputs {
                 base.run_single(i.clone());
             }
@@ -234,7 +234,7 @@ fn spec_under_survivable_faults_matches_fault_free_baseline_state() {
             spec.enable_faults(survivable_plan(), generous_retries());
             spec.prewarm();
             let mut srng = SimRng::seed(9);
-            (bundle.seed)(&mut spec.kv, &mut srng);
+            (bundle.seed)(&mut spec.rt_mut().kv, &mut srng);
             for i in &inputs {
                 spec.run_single(i.clone());
             }
@@ -246,8 +246,8 @@ fn spec_under_survivable_faults_matches_fault_free_baseline_state() {
                 bundle.name()
             );
             assert_eq!(
-                kv_map(&base.kv),
-                kv_map(&spec.kv),
+                kv_map(&base.rt().kv),
+                kv_map(&spec.rt().kv),
                 "{}: fault recovery diverged from fault-free state",
                 bundle.name()
             );
@@ -271,13 +271,13 @@ fn baseline_under_survivable_faults_matches_fault_free_state() {
                 }
                 e.prewarm();
                 let mut srng = SimRng::seed(9);
-                (bundle.seed)(&mut e.kv, &mut srng);
+                (bundle.seed)(&mut e.rt_mut().kv, &mut srng);
                 for i in &inputs {
                     e.run_single(i.clone());
                 }
                 let m = e.run_closed(0, |_| Value::Null);
                 assert_eq!(m.failed, 0, "{}: request aborted", bundle.name());
-                kv_map(&e.kv)
+                kv_map(&e.rt().kv)
             };
             assert_eq!(
                 run(false),
@@ -376,7 +376,7 @@ fn squash_mechanisms_all_converge_to_correct_state() {
         e.run_single(Value::map([("flag", Value::Bool(false))]));
         let m = e.run_closed(0, |_| Value::Null);
         assert_eq!(
-            e.kv.peek("path"),
+            e.rt().kv.peek("path"),
             Some(&Value::str("no")),
             "{squash:?}: squashed path leaked state"
         );

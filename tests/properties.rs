@@ -8,6 +8,7 @@
 use specfaas::core::databuffer::{DataBuffer, ReadResult};
 use specfaas::core::pipeline::SlotId;
 use specfaas::core::{MemoTable, PathHistory};
+use specfaas::platform::EngineCore;
 use specfaas::sim::stats::{Cdf, LatencyRecorder, OnlineStats};
 use specfaas::sim::{SimDuration, SimRng, Simulator};
 use specfaas::storage::Value;
@@ -288,20 +289,20 @@ fn fault_injection_replays_identically_per_seed() {
             e.enable_faults(plan.clone(), policy.clone());
             e.prewarm();
             let mut srng = SimRng::seed(seed ^ 1);
-            (bundle.seed)(&mut e.kv, &mut srng);
+            (bundle.seed)(&mut e.rt_mut().kv, &mut srng);
             let gen = bundle.make_input.clone();
             let m = e.run_closed(15, move |r| gen(r));
-            fingerprint(&m, &e.kv)
+            fingerprint(&m, &e.rt().kv)
         };
         let run_base = || {
             let mut e = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), seed));
             e.enable_faults(plan.clone(), policy.clone());
             e.prewarm();
             let mut srng = SimRng::seed(seed ^ 1);
-            (bundle.seed)(&mut e.kv, &mut srng);
+            (bundle.seed)(&mut e.rt_mut().kv, &mut srng);
             let gen = bundle.make_input.clone();
             let m = e.run_closed(15, move |r| gen(r));
-            fingerprint(&m, &e.kv)
+            fingerprint(&m, &e.rt().kv)
         };
         assert_eq!(
             run_spec(),
@@ -341,7 +342,7 @@ fn empty_fault_plan_never_perturbs_execution() {
             e.prewarm();
             let gen = bundle.make_input.clone();
             let m = e.run_closed(10, move |r| gen(r));
-            fingerprint(&m, &e.kv)
+            fingerprint(&m, &e.rt().kv)
         };
         assert_eq!(
             run(false),
