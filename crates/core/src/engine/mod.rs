@@ -454,13 +454,7 @@ impl SpecCore {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Arrival => harness::handle_arrival(self),
-            // A lazily squashed instance still in launch overhead never
-            // launches.
-            Ev::Launch(id) => {
-                if self.meta.contains_key(&id) {
-                    self.rt.on_launch(id);
-                }
-            }
+            Ev::Launch(id) => self.rt.on_launch(id),
             Ev::ContainerReady(id) => self.rt.try_start(id),
             Ev::Resume(id, v) => self.on_resume(id, v),
             Ev::CommitApply(req, slot) => self.on_commit_apply(req, slot),

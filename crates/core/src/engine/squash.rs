@@ -135,19 +135,23 @@ impl SpecCore {
             return;
         };
         let (state, req, func, wasted) = (inst.state, inst.req.0, inst.func, inst.core_time(now));
+        // An instance still in launch overhead has no handler to run on.
+        let launched = inst.container;
         self.meta.remove(&id);
         match self.config.squash {
             // Let it run to completion in the background; outputs are
             // never propagated. Blocked instances wait on callees that are
             // themselves being squashed — they cannot make progress and
-            // terminate instead (their container frees).
+            // terminate instead (their container frees), and one that
+            // never launched is simply dropped.
             SquashMechanism::Lazy
-                if matches!(
-                    state,
-                    InstanceState::Running
-                        | InstanceState::ColdStarting
-                        | InstanceState::WaitingCore
-                ) =>
+                if launched
+                    && matches!(
+                        state,
+                        InstanceState::Running
+                            | InstanceState::ColdStarting
+                            | InstanceState::WaitingCore
+                    ) =>
             {
                 self.orphans.insert(id);
             }

@@ -307,3 +307,45 @@ fn stmt_level_loop_limit_is_contained() {
     // Runs 5 iterations then errors out; must terminate promptly.
     assert!(d < SimDuration::from_millis(100));
 }
+
+/// Every squash mechanism leaves no instance behind once a concurrent
+/// drive has drained. Lazy squashing used to orphan instances still in
+/// launch overhead; those never acquired a container, never ran and
+/// stayed in the instance table forever.
+#[test]
+fn drained_runs_leave_no_live_instances_under_any_squash_mechanism() {
+    use specfaas_apps::{dag, faaschain};
+    let apps = [
+        faaschain::banking(),
+        faaschain::hotel_booking(),
+        dag::finra_validate(),
+    ];
+    for bundle in &apps {
+        for squash in [
+            SquashMechanism::Lazy,
+            SquashMechanism::ProcessKill,
+            SquashMechanism::ContainerKill,
+        ] {
+            let config = SpecConfig {
+                squash,
+                ..SpecConfig::full()
+            };
+            let mut e = SpecEngine::new(SpecCore::new(Arc::clone(&bundle.app), config, 7));
+            e.prewarm();
+            (bundle.seed)(&mut e.rt_mut().kv, &mut SimRng::seed(7 ^ 0x5eed));
+            let gen = Arc::clone(&bundle.make_input);
+            e.run_closed(100, move |r| gen(r));
+            let gen = Arc::clone(&bundle.make_input);
+            e.run_concurrent(16, SimDuration::from_secs(2), SimDuration::ZERO, move |r| {
+                gen(r)
+            });
+            assert!(e.live_requests().is_empty());
+            assert_eq!(
+                e.live_instances(),
+                0,
+                "{} under {squash:?}: instances leaked",
+                bundle.app.name
+            );
+        }
+    }
+}
