@@ -7,13 +7,12 @@
 //! actually running each app once, warm, on the baseline engine).
 
 use serde::{Deserialize, Serialize};
-use specfaas_platform::{BaselineCore, BaselineEngine};
+use specfaas_platform::{BaselineCore, BaselineEngine, EngineCore};
 use specfaas_sim::SimRng;
 use specfaas_workflow::analysis::SideEffects;
 use specfaas_workflow::Stmt;
 
 use crate::suite::Suite;
-use specfaas_platform::EngineCore;
 
 /// Table-I row for one suite.
 #[derive(Debug, Clone, Serialize, Deserialize)]

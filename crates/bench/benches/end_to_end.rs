@@ -9,8 +9,7 @@ use std::sync::Arc;
 
 use specfaas_bench::microbench::bench;
 use specfaas_core::{SpecConfig, SpecCore, SpecEngine};
-use specfaas_platform::EngineCore;
-use specfaas_platform::{BaselineCore, BaselineEngine};
+use specfaas_platform::{BaselineCore, BaselineEngine, EngineCore};
 use specfaas_sim::SimRng;
 
 fn bench_single_invocation() {

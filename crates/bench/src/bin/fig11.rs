@@ -18,8 +18,7 @@ use specfaas_bench::runner::{
     ExperimentParams,
 };
 use specfaas_core::{SpecConfig, SpecCore, SpecEngine};
-use specfaas_platform::EngineCore;
-use specfaas_platform::{BaselineCore, BaselineEngine, Load};
+use specfaas_platform::{BaselineCore, BaselineEngine, EngineCore, Load};
 use specfaas_sim::{SimDuration, SimRng};
 
 fn params(quick: bool, rps: f64) -> ExperimentParams {

@@ -13,8 +13,7 @@
 use specfaas_apps::all_suites;
 use specfaas_bench::executor::{self, ExperimentCell};
 use specfaas_bench::report::{f1, pct, Table};
-use specfaas_platform::EngineCore;
-use specfaas_platform::{BaselineCore, BaselineEngine, Breakdown};
+use specfaas_platform::{BaselineCore, BaselineEngine, Breakdown, EngineCore};
 use specfaas_sim::SimRng;
 
 /// Per-app cell: (cold breakdowns, warm breakdowns of the last request).

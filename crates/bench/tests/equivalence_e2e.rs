@@ -16,8 +16,7 @@ use std::sync::Arc;
 
 use specfaas_apps::AppBundle;
 use specfaas_core::{PolicyConfig, SpecConfig, SpecCore, SpecEngine};
-use specfaas_platform::EngineCore;
-use specfaas_platform::{BaselineCore, BaselineEngine, RequestOutcome, RunMetrics};
+use specfaas_platform::{BaselineCore, BaselineEngine, EngineCore, RequestOutcome, RunMetrics};
 use specfaas_sim::SimRng;
 use specfaas_storage::Value;
 

@@ -18,7 +18,7 @@ use specfaas_sim::hash::FxHashMap;
 use std::fmt;
 
 use specfaas_sim::trace::{Phase, TraceEventKind, Tracer};
-use specfaas_sim::{FaultSite, SimDuration, SimRng, SimTime};
+use specfaas_sim::{FaultSite, SimDuration, SimRng, SimTime, Simulator};
 use specfaas_storage::Value;
 use specfaas_workflow::{Effect, FuncId, Interp, ProgError, Program};
 
@@ -388,7 +388,7 @@ impl<Ev: LifecycleEvent> Runtime<Ev> {
                 return Resumed::Parked;
             }
         }
-        match self.step(id, resume) {
+        match step(&mut self.sim, inst, resume) {
             Some(effect) => Resumed::Effect(effect),
             None => Resumed::Parked,
         }
@@ -399,27 +399,7 @@ impl<Ev: LifecycleEvent> Runtime<Ev> {
     /// temp-file accesses) and returns any other.
     pub fn step(&mut self, id: InstanceId, resume: Option<Value>) -> Option<Effect> {
         let inst = self.instances.get_mut(&id)?;
-        let effect = inst.step(resume).unwrap_or_else(|err| {
-            // A failed invocation completes with an error document, so
-            // the workflow proceeds deterministically.
-            Effect::Done(Value::map([("error", Value::str(err.to_string()))]))
-        });
-        match effect {
-            Effect::Compute(d) => {
-                inst.breakdown.execution += d;
-                self.sim.schedule_in(d, Ev::resume(id, None));
-            }
-            Effect::FileWrite { name, data } => {
-                inst.files.insert(name, data);
-                self.sim.schedule_now(Ev::resume(id, None));
-            }
-            Effect::FileRead { name } => {
-                let v = inst.files.get(&name).cloned().unwrap_or(Value::Null);
-                self.sim.schedule_now(Ev::resume(id, Some(v)));
-            }
-            effect => return Some(effect),
-        }
-        None
+        step(&mut self.sim, inst, resume)
     }
 
     /// The invocation watchdog fired for `id`. Returns true, recording the
@@ -581,6 +561,36 @@ impl<Ev: LifecycleEvent> Runtime<Ev> {
         }
         Some(inst)
     }
+}
+
+/// [`Runtime::step`] on an instance already looked up.
+fn step<Ev: LifecycleEvent>(
+    sim: &mut Simulator<Ev>,
+    inst: &mut FnInstance,
+    resume: Option<Value>,
+) -> Option<Effect> {
+    let id = inst.id;
+    let effect = inst.step(resume).unwrap_or_else(|err| {
+        // A failed invocation completes with an error document, so the
+        // workflow proceeds deterministically.
+        Effect::Done(Value::map([("error", Value::str(err.to_string()))]))
+    });
+    match effect {
+        Effect::Compute(d) => {
+            inst.breakdown.execution += d;
+            sim.schedule_in(d, Ev::resume(id, None));
+        }
+        Effect::FileWrite { name, data } => {
+            inst.files.insert(name, data);
+            sim.schedule_now(Ev::resume(id, None));
+        }
+        Effect::FileRead { name } => {
+            let v = inst.files.get(&name).cloned().unwrap_or(Value::Null);
+            sim.schedule_now(Ev::resume(id, Some(v)));
+        }
+        effect => return Some(effect),
+    }
+    None
 }
 
 #[cfg(test)]

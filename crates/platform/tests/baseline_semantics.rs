@@ -4,8 +4,7 @@
 
 use std::sync::Arc;
 
-use specfaas_platform::EngineCore;
-use specfaas_platform::{BaselineCore, BaselineEngine};
+use specfaas_platform::{BaselineCore, BaselineEngine, EngineCore};
 use specfaas_sim::{SimDuration, SimRng};
 use specfaas_storage::Value;
 use specfaas_workflow::expr::*;

@@ -8,7 +8,6 @@
 use specfaas::core::databuffer::{DataBuffer, ReadResult};
 use specfaas::core::pipeline::SlotId;
 use specfaas::core::{MemoTable, PathHistory};
-use specfaas::platform::EngineCore;
 use specfaas::sim::stats::{Cdf, LatencyRecorder, OnlineStats};
 use specfaas::sim::{SimDuration, SimRng, Simulator};
 use specfaas::storage::Value;
@@ -231,7 +230,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use specfaas::platform::{BaselineCore, BaselineEngine, FaultStats, RunMetrics};
-use specfaas::prelude::{FaultPlan, RetryPolicy, SpecConfig, SpecCore, SpecEngine};
+use specfaas::prelude::{EngineCore, FaultPlan, RetryPolicy, SpecConfig, SpecCore, SpecEngine};
 use specfaas::storage::KvStore;
 
 fn kv_map(kv: &KvStore) -> BTreeMap<String, Value> {
