@@ -14,7 +14,7 @@
 
 use specfaas_bench::runner::{prepared_baseline, prepared_spec, traced_closed};
 use specfaas_core::{SpecConfig, SquashMechanism};
-use specfaas_platform::RunMetrics;
+use specfaas_platform::{EngineCore, RunMetrics};
 use specfaas_sim::trace::{validate_json, Tracer};
 use specfaas_sim::{FaultPlan, RetryPolicy, SimDuration};
 
@@ -55,6 +55,22 @@ fn traced_spec_run_with(
         REQUESTS,
         move |r| gen(r),
     )
+}
+
+/// Runs one traced speculative pass under `ContainerKill` with one warm
+/// container per function and node, so each container a squash or a
+/// crash discards forces a cold start. (With [`prepared_spec`]'s full
+/// pools a container-kill run traces exactly like a process-kill one.)
+fn traced_container_kill_run(bundle: &specfaas_apps::AppBundle) -> (Tracer, RunMetrics) {
+    let config = SpecConfig {
+        squash: SquashMechanism::ContainerKill,
+        ..SpecConfig::full()
+    };
+    let mut engine = prepared_spec(bundle, config, SEED, TRAIN);
+    let funcs: Vec<_> = bundle.app.registry.iter().map(|(id, _)| id).collect();
+    engine.rt_mut().cluster.prewarm_all(funcs, 1);
+    let gen = bundle.make_input.clone();
+    traced_closed(&mut engine, plan(), policy(), REQUESTS, move |r| gen(r))
 }
 
 fn assert_clean(tracer: &Tracer, label: &str) {
@@ -150,9 +166,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// first four digests were taken before the engines' instrumentation
 /// moved behind `Runtime::record`, the rest before the instance
 /// lifecycle moved into `platform::exec`; any change to event order,
-/// payload or export format moves them. (With warm pools pre-filled, a
-/// container-kill run traces exactly like a process-kill one: discarding
-/// the killed containers never forces a cold start here.)
+/// payload or export format moves them.
 #[test]
 fn chrome_trace_digests_are_pinned() {
     let pinned: [(&str, &str, u64); 8] = [
@@ -161,14 +175,10 @@ fn chrome_trace_digests_are_pinned() {
         ("TcktApp", "spec", 0xacf6_3838_a23f_d8f0),
         ("TcktApp", "baseline", 0x70d8_a4fb_5486_956e),
         ("HotelBooking", "spec-lazy", 0xbbab_e395_9e18_4d3a),
-        ("HotelBooking", "spec-container-kill", 0x7046_e96a_52af_a5aa),
+        ("HotelBooking", "spec-container-kill", 0x8b2b_f6a9_8180_a045),
         ("TcktApp", "spec-lazy", 0xe78f_8b74_edea_0620),
-        ("TcktApp", "spec-container-kill", 0xacf6_3838_a23f_d8f0),
+        ("TcktApp", "spec-container-kill", 0x2391_ac5f_599b_343b),
     ];
-    let squash = |squash| SpecConfig {
-        squash,
-        ..SpecConfig::full()
-    };
     let mut got = Vec::new();
     for (app, engine, _) in pinned {
         let bundle = match app {
@@ -178,10 +188,14 @@ fn chrome_trace_digests_are_pinned() {
         let gen = bundle.make_input.clone();
         let (tracer, _) = match engine {
             "spec" => traced_spec_run(&bundle),
-            "spec-lazy" => traced_spec_run_with(&bundle, squash(SquashMechanism::Lazy)),
-            "spec-container-kill" => {
-                traced_spec_run_with(&bundle, squash(SquashMechanism::ContainerKill))
-            }
+            "spec-lazy" => traced_spec_run_with(
+                &bundle,
+                SpecConfig {
+                    squash: SquashMechanism::Lazy,
+                    ..SpecConfig::full()
+                },
+            ),
+            "spec-container-kill" => traced_container_kill_run(&bundle),
             _ => traced_closed(
                 &mut prepared_baseline(&bundle, SEED),
                 plan(),

@@ -1,5 +1,6 @@
-//! Instance event handling: launch, cold start, interpreter resume,
-//! KV effects with fault retries, calls and HTTP gating (§V-C).
+//! Instance event handling: interpreter resume, KV effects through the
+//! Data Buffer, calls and HTTP gating (§V-C). The lifecycle underneath
+//! (launch, cold start, KV fault retries) is `specfaas_platform::exec`.
 use super::*;
 
 impl SpecCore {

@@ -74,8 +74,12 @@ const CLIENTS: u32 = 32;
 
 /// Seeds storage, runs the training closed loop, then counts the
 /// allocations of a 5 s concurrent drive and returns them per completed
-/// request.
-fn allocations_per_request<E: EngineCore>(engine: &mut Harness<E>, bundle: &AppBundle) -> f64 {
+/// request. The drive must complete more than `min_completed` requests.
+fn allocations_per_request<E: EngineCore>(
+    engine: &mut Harness<E>,
+    bundle: &AppBundle,
+    min_completed: u64,
+) -> f64 {
     engine.prewarm();
     (bundle.seed)(
         &mut engine.core.rt_mut().kv,
@@ -94,7 +98,11 @@ fn allocations_per_request<E: EngineCore>(engine: &mut Harness<E>, bundle: &AppB
     );
     ARMED.with(|a| a.set(false));
 
-    assert!(metrics.completed > 500, "{} requests", metrics.completed);
+    assert!(
+        metrics.completed > min_completed,
+        "{} requests",
+        metrics.completed
+    );
     let per_request = ALLOCS.with(Cell::get) as f64 / metrics.completed as f64;
     println!(
         "{per_request:.1} allocations per request over {} requests",
@@ -111,7 +119,7 @@ fn trained_closed_loop_stays_within_allocation_budget() {
         SpecConfig::full(),
         SEED,
     ));
-    let per_request = allocations_per_request(&mut engine, &bundle);
+    let per_request = allocations_per_request(&mut engine, &bundle, 1_000);
     assert!(
         per_request <= BUDGET_PER_REQUEST,
         "{per_request:.1} allocations per request exceed the budget of {BUDGET_PER_REQUEST:.1}"
@@ -122,7 +130,8 @@ fn trained_closed_loop_stays_within_allocation_budget() {
 fn baseline_closed_loop_stays_within_allocation_budget() {
     let bundle = ticket_app();
     let mut engine = BaselineEngine::new(BaselineCore::new(Arc::clone(&bundle.app), SEED));
-    let per_request = allocations_per_request(&mut engine, &bundle);
+    // The baseline completes 834 requests in the same drive.
+    let per_request = allocations_per_request(&mut engine, &bundle, 500);
     assert!(
         per_request <= BASELINE_BUDGET_PER_REQUEST,
         "{per_request:.1} allocations per request exceed the budget of \

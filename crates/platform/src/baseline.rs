@@ -15,10 +15,8 @@
 //! * Cold containers pay container creation + runtime setup; warm
 //!   containers fork a handler instantly.
 //!
-//! The instance lifecycle itself (launch, cold start, core queueing,
-//! blocking, fault rolls, KV retry, teardown) is the platform's, in
-//! [`crate::exec`]; this core decides what a crash, a write or a call
-//! means.
+//! Instance lifecycle: see [`crate::exec`]; this core decides what a
+//! crash, a write or a call means.
 
 use specfaas_sim::hash::FxHashMap;
 use std::sync::Arc;

@@ -9,8 +9,8 @@
 //!   queue, workload RNG, cluster (warm-container pools, cores,
 //!   controllers), KV store, fault injector + retry policy, flight
 //!   recorder, time-series registry, run metrics and open/closed-loop
-//!   generation state, and the live function instances, whose lifecycle
-//!   mechanics live in [`crate::exec`]. It is embedded *inside* each core
+//!   generation state, and the live function instances (lifecycle: see
+//!   [`crate::exec`]). It is embedded *inside* each core
 //!   so engine code accesses it as plain fields (`self.rt.…`) — no
 //!   virtual dispatch on hot paths.
 //!   Engines report every counted occurrence through one
@@ -130,9 +130,7 @@ pub struct Runtime<Ev> {
     /// Closed-loop mode: each completion immediately submits the next
     /// request (bounded concurrency, like a fixed client pool).
     pub closed_loop: bool,
-    /// Live function instances. Their lifecycle mechanics (launch, core
-    /// queueing, blocking, fault rolls, KV retry, teardown) live in
-    /// [`crate::exec`].
+    /// Live function instances (lifecycle: see [`crate::exec`]).
     pub instances: FxHashMap<InstanceId, FnInstance>,
     /// Next function-instance id to allocate.
     pub next_inst: u64,

@@ -21,8 +21,7 @@
 //!   (§VI, "Minimizing Squash Cost").
 //! * [`exec`] — function instances (a running interpreter bound to a
 //!   node, core slot, container and private temp-file namespace) and
-//!   their lifecycle, shared by both engines: launch, cold start, core
-//!   queueing, blocking, fault rolls, KV retry and teardown.
+//!   the instance lifecycle both engines share.
 //! * [`harness`] — the shared engine-runtime layer: a [`Runtime`] of
 //!   engine-agnostic state embedded in each engine core, the
 //!   [`EngineCore`] trait, and the generic [`Harness`] driver that owns
