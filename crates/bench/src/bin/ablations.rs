@@ -14,19 +14,19 @@
 
 use specfaas_bench::executor::{self, ExperimentCell};
 use specfaas_bench::report::{f1, f2, pct, speedup, Table};
-use specfaas_bench::runner::{closed_mean_ms, mean_record_ms, prepared_baseline, prepared_spec};
+use specfaas_bench::runner::{prepared_baseline, prepared_spec};
 use specfaas_core::SpecConfig;
 
 fn single_spec_ms(bundle: &specfaas_apps::AppBundle, cfg: SpecConfig, n: u64) -> f64 {
     let mut e = prepared_spec(bundle, cfg, 0xAB1A, 300);
     let gen = bundle.make_input.clone();
-    closed_mean_ms(&mut e, n, move |r| gen(r))
+    e.run_closed(n, move |r| gen(r)).mean_response_ms()
 }
 
 fn single_base_ms(bundle: &specfaas_apps::AppBundle, n: u64) -> f64 {
     let mut e = prepared_baseline(bundle, 0xAB1A);
     let gen = bundle.make_input.clone();
-    closed_mean_ms(&mut e, n, move |r| gen(r))
+    e.run_closed(n, move |r| gen(r)).mean_response_ms()
 }
 
 /// Mean response of a fresh run under `cfg`, plus a probe read from the
@@ -43,7 +43,7 @@ where
     let mut e = prepared_spec(bundle, cfg, 0xAB1A, 300);
     let gen = bundle.make_input.clone();
     let m = e.run_closed(n, move |r| gen(r));
-    let mean = mean_record_ms(&m, 0);
+    let mean = m.mean_response_ms();
     let probed = probe(&e, &m);
     (mean, probed)
 }
@@ -94,7 +94,7 @@ fn d2_stall_list(jobs: usize) {
             let mut e = prepared_spec(bundle, cfg, 0xAB1A, 300);
             let gen = bundle.make_input.clone();
             let m = e.run_closed(100, move |r| gen(r));
-            let mean = mean_record_ms(&m, 0);
+            let mean = m.mean_response_ms();
             (
                 m.functions_squashed as f64,
                 e.stall_list().stalls_avoided() as f64,

@@ -64,7 +64,7 @@ fn fault_rate_sweep() {
             mb.faults.injected.to_string(),
             mb.faults.retried.to_string(),
             "-".to_string(),
-            f1(mb.latency.mean_ms()),
+            f1(mb.mean_response_ms()),
         ]);
 
         let gen = bundle.make_input.clone();
@@ -83,7 +83,7 @@ fn fault_rate_sweep() {
             ms.faults.injected.to_string(),
             ms.faults.retried.to_string(),
             ms.faults.squashed_due_to_fault.to_string(),
-            f1(ms.latency.mean_ms()),
+            f1(ms.mean_response_ms()),
         ]);
     }
     println!("{}", t.render());

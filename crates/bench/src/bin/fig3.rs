@@ -16,27 +16,27 @@ use specfaas_bench::report::{f1, pct, Table};
 use specfaas_platform::{BaselineCore, BaselineEngine, Breakdown, EngineCore};
 use specfaas_sim::SimRng;
 
-/// Per-app cell: (cold breakdowns, warm breakdowns of the last request).
-fn measure_app(bundle: &specfaas_apps::AppBundle) -> (Vec<Breakdown>, Vec<Breakdown>) {
+/// Per-app cell: the Fig. 3 breakdown total of the cold request and of
+/// the warm third request, each with the function invocations in it.
+fn measure_app(bundle: &specfaas_apps::AppBundle) -> [(Breakdown, u64); 2] {
     // Cold: fresh engine, first request pays full cold start.
     let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 2));
     let mut rng = SimRng::seed(11);
     (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
     let gen = bundle.make_input.clone();
-    let m = e.run_closed(1, move |r| gen(r));
-    let cold = m.breakdowns.clone();
+    let cold = e.run_closed(1, move |r| gen(r));
 
-    // Warm: pre-warmed engine, measure the third request.
+    // Warm: pre-warmed engine, two unmeasured requests, then measure the
+    // third on its own.
     let mut e = BaselineEngine::new(BaselineCore::new(bundle.app.clone(), 2));
     e.prewarm();
     let mut rng = SimRng::seed(12);
     (bundle.seed)(&mut e.rt_mut().kv, &mut rng);
     let gen = bundle.make_input.clone();
-    let m = e.run_closed(3, move |r| gen(r));
-    // Keep only the last request's function breakdowns.
-    let last = m.records.last().expect("completed").functions_run as usize;
-    let warm = m.breakdowns[m.breakdowns.len() - last..].to_vec();
-    (cold, warm)
+    let mut input = move |r: &mut SimRng| gen(r);
+    e.run_closed(2, &mut input);
+    let warm = e.run_closed(1, input);
+    [cold, warm].map(|m| (m.breakdown_total, m.breakdowns_filed))
 }
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
     println!("== Fig. 3: cold-start response-time breakdown (per function, ms) ==\n");
     let suites = all_suites();
 
-    let mut cells: Vec<ExperimentCell<(Vec<Breakdown>, Vec<Breakdown>)>> = Vec::new();
+    let mut cells: Vec<ExperimentCell<[(Breakdown, u64); 2]>> = Vec::new();
     for suite in &suites {
         for bundle in &suite.apps {
             cells.push(ExperimentCell::new(
@@ -66,15 +66,16 @@ fn main() {
     ]);
     let mut it = results.into_iter();
     for suite in &suites {
-        let mut cold = Vec::new();
-        let mut warm = Vec::new();
+        // Suite means: summed totals over summed invocation counts.
+        let mut sums = [(Breakdown::default(), 0); 2];
         for _ in &suite.apps {
-            let (c, w) = it.next().expect("one result per cell");
-            cold.extend_from_slice(&c);
-            warm.extend_from_slice(&w);
+            let cell = it.next().expect("one result per cell");
+            for (sum, (total, n)) in sums.iter_mut().zip(cell) {
+                sum.0.merge(&total);
+                sum.1 += n;
+            }
         }
-        let c = Breakdown::mean_of(&cold);
-        let w = Breakdown::mean_of(&warm);
+        let [c, w] = sums.map(|(total, n)| total.mean_over(n));
         t.row([
             suite.name.to_string(),
             f1(c.container_creation.as_millis_f64()),

@@ -50,9 +50,7 @@ use std::sync::Arc;
 use specfaas_apps::{all_suites, AppBundle};
 use specfaas_bench::executor::{self, ExperimentCell};
 use specfaas_bench::report::{f2, pct, Table};
-use specfaas_bench::runner::{
-    instrumented_closed, mean_record_ms, prepared_baseline_with, prepared_spec_with,
-};
+use specfaas_bench::runner::{instrumented_closed, prepared_baseline_with, prepared_spec_with};
 use specfaas_core::SpecConfig;
 use specfaas_platform::fleet::{ScaleConfig, ScaleEngine, ScaleStats, TemplateProfile};
 use specfaas_platform::PolicyConfig;
@@ -122,7 +120,7 @@ fn run_app_cell(
         policy: policy.label(),
         app: bundle.app.name.clone(),
         speculative,
-        mean_ms: mean_record_ms(&m, 0),
+        mean_ms: m.mean_response_ms(),
         cold_rate: row.cold_rate(),
         evictions: row.evictions,
     }

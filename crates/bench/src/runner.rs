@@ -182,27 +182,6 @@ pub fn scoreboard_closed<E: EngineCore>(
     (row, log, m)
 }
 
-/// Mean completed-request response (ms) over `m.records`, skipping the
-/// first `skip` (container warm-up) records.
-pub fn mean_record_ms(m: &RunMetrics, skip: usize) -> f64 {
-    let later = &m.records[m.records.len().min(skip)..];
-    later
-        .iter()
-        .map(|r| r.response_time().as_millis_f64())
-        .sum::<f64>()
-        / later.len().max(1) as f64
-}
-
-/// Runs a closed loop on any prepared engine and returns the mean
-/// completed-request response in milliseconds (no warm-up skip).
-pub fn closed_mean_ms<E: EngineCore>(
-    e: &mut Harness<E>,
-    n: u64,
-    input: impl FnMut(&mut SimRng) -> Value,
-) -> f64 {
-    mean_record_ms(&e.run_closed(n, input), 0)
-}
-
 /// Measures the baseline under an open-loop load.
 pub fn measure_baseline_open(bundle: &AppBundle, p: ExperimentParams) -> RunMetrics {
     let mut e = prepared_baseline(bundle, p.seed);
@@ -228,20 +207,21 @@ pub fn measure_spec_open(
 }
 
 /// Unloaded single-request mean response (the Table-III QoS reference):
-/// average over `n` isolated requests.
+/// average over `n` isolated requests, after two container warm-up
+/// requests that are not measured.
 pub fn baseline_single_ms(bundle: &AppBundle, seed: u64, n: u64) -> f64 {
     let mut e = prepared_baseline(bundle, seed);
     let gen = Arc::clone(&bundle.make_input);
-    let m = e.run_closed(n.max(1) + 2, move |r| gen(r));
-    // Skip the first two (container warm-up) records.
-    mean_record_ms(&m, 2)
+    let mut input = move |r: &mut SimRng| gen(r);
+    e.run_closed(2, &mut input);
+    e.run_closed(n.max(1), input).mean_response_ms()
 }
 
 /// Unloaded single-request mean response for a trained SpecFaaS engine.
 pub fn spec_single_ms(bundle: &AppBundle, config: SpecConfig, seed: u64, n: u64) -> f64 {
     let mut e = prepared_spec(bundle, config, seed, 200);
     let gen = Arc::clone(&bundle.make_input);
-    closed_mean_ms(&mut e, n.max(1), move |r| gen(r))
+    e.run_closed(n.max(1), move |r| gen(r)).mean_response_ms()
 }
 
 /// Converts the paper's open-loop load level into a closed-loop client

@@ -143,8 +143,8 @@ fn instrumented_runs_are_bit_identical_to_plain_runs() {
                 "{label}: squashed core-time"
             );
             assert_eq!(
-                plain.latency.mean_ms(),
-                recorded.latency.mean_ms(),
+                plain.mean_response_ms(),
+                recorded.mean_response_ms(),
                 "{label}: mean latency"
             );
             assert_eq!(
@@ -170,7 +170,7 @@ fn trained_spec_beats_baseline_on_every_dag_app() {
         let gen = bundle.make_input.clone();
         let ms = prepared_spec(&bundle, SpecConfig::full(), SEED, TRAIN)
             .run_closed(REQUESTS, move |r| gen(r));
-        let (b, s) = (mb.latency.mean_ms(), ms.latency.mean_ms());
+        let (b, s) = (mb.mean_response_ms(), ms.mean_response_ms());
         assert!(
             s < b,
             "{}: trained spec mean latency {s:.2}ms not below baseline {b:.2}ms",

@@ -91,8 +91,8 @@ fn assert_metrics_eq(a: &RunMetrics, b: &RunMetrics, label: &str) {
         "{label}: squashed core-time diverged"
     );
     assert_eq!(
-        a.latency.mean_ms(),
-        b.latency.mean_ms(),
+        a.mean_response_ms(),
+        b.mean_response_ms(),
         "{label}: latency diverged"
     );
     assert_eq!(

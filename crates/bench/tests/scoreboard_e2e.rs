@@ -3,10 +3,10 @@
 //!
 //! These assert the scoreboard's acceptance properties on real engine
 //! runs: arming the scoreboard instruments leaves run metrics
-//! bit-identical to a plain run, the streaming percentiles track the
-//! exact recorder within the histogram's documented error bound, the
-//! windowed JSONL snapshots advance monotonically, and the rendered
-//! table / JSONL rows cover every app that ran.
+//! bit-identical to a plain run, the streaming percentiles track exact
+//! sorted-sample quantiles within the histogram's documented error
+//! bound, the windowed JSONL snapshots advance monotonically, and the
+//! rendered table / JSONL rows cover every app that ran.
 
 use specfaas_bench::runner::{prepared_baseline, prepared_spec, scoreboard_closed};
 use specfaas_core::SpecConfig;
@@ -34,8 +34,8 @@ fn assert_metrics_eq(a: &RunMetrics, b: &RunMetrics, label: &str) {
         "{label}: squashed core-time diverged"
     );
     assert_eq!(
-        a.latency.mean_ms(),
-        b.latency.mean_ms(),
+        a.mean_response_ms(),
+        b.mean_response_ms(),
         "{label}: latency diverged"
     );
 }

@@ -149,7 +149,7 @@ fn disabled_tracer_leaves_metrics_bit_identical() {
     assert_eq!(plain.failed, traced.failed);
     assert_eq!(plain.useful_core_time, traced.useful_core_time);
     assert_eq!(plain.squashed_core_time, traced.squashed_core_time);
-    assert_eq!(plain.latency.mean_ms(), traced.latency.mean_ms());
+    assert_eq!(plain.mean_response_ms(), traced.mean_response_ms());
 }
 
 /// 64-bit FNV-1a over `bytes`.

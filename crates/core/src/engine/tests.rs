@@ -457,7 +457,7 @@ fn empty_fault_plan_is_bit_identical_to_disabled() {
         );
         (
             m.completed,
-            m.latency.mean_ms().to_bits(),
+            m.mean_response_ms().to_bits(),
             m.squashed_core_time,
             m.useful_core_time,
         )

@@ -22,7 +22,7 @@ use specfaas_sim::hash::FxHashMap;
 use std::sync::Arc;
 
 use specfaas_sim::trace::{Phase, TraceEventKind};
-use specfaas_sim::{SimDuration, SimTime};
+use specfaas_sim::SimTime;
 use specfaas_storage::Value;
 use specfaas_workflow::{AppSpec, Effect, EntryKind, FuncId};
 
@@ -454,7 +454,9 @@ impl BaselineCore {
         // A fork turns this cursor into one per branch.
         let state = self.requests.get_mut(&req).expect("live request");
         state.cursors += targets.len() as u32 - 1;
-        self.charge_transfer(transfer);
+        // Fig. 3 charges the transfer to the function that just finished,
+        // whose breakdown `Runtime::finish` already filed into the total.
+        self.rt.metrics.breakdown_total.transfer += transfer;
         for &to in targets {
             self.rt.sim.schedule_in(
                 transfer,
@@ -465,14 +467,6 @@ impl BaselineCore {
                     payload: payload.clone(),
                 },
             );
-        }
-    }
-
-    fn charge_transfer(&mut self, transfer: SimDuration) {
-        // Transfer time is attributed at the request level via breakdowns
-        // of subsequent launches; record it on the last pushed breakdown.
-        if let Some(b) = self.rt.metrics.breakdowns.last_mut() {
-            b.transfer += transfer;
         }
     }
 
@@ -692,7 +686,7 @@ impl BaselineCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specfaas_sim::{FaultPlan, RetryPolicy};
+    use specfaas_sim::{FaultPlan, RetryPolicy, SimDuration};
     use specfaas_workflow::expr::*;
     use specfaas_workflow::{FunctionRegistry, FunctionSpec, Program, Workflow};
 
@@ -933,7 +927,8 @@ mod tests {
         let mut e = BaselineEngine::new(BaselineCore::new(Arc::new(chain_app()), 1));
         e.prewarm();
         e.run_single(Value::Null);
-        let mean = crate::metrics::Breakdown::mean_of(&e.rt().metrics.breakdowns);
+        let m = &e.rt().metrics;
+        let mean = m.breakdown_total.mean_over(m.breakdowns_filed);
         let frac = mean.execution_fraction();
         assert!(
             (0.25..=0.55).contains(&frac),
@@ -961,7 +956,7 @@ mod tests {
             );
             (
                 m.completed,
-                m.latency.mean_ms().to_bits(),
+                m.mean_response_ms().to_bits(),
                 m.useful_core_time,
             )
         };

@@ -555,7 +555,7 @@ impl<Ev: LifecycleEvent> Runtime<Ev> {
     /// breakdown and end its execution span.
     pub fn finish(&mut self, id: InstanceId) -> Option<FnInstance> {
         let inst = self.release(id, true)?;
-        self.metrics.breakdowns.push(inst.breakdown);
+        self.metrics.file_breakdown(&inst.breakdown);
         if let Some(s) = inst.started_at {
             inst.trace_execution(&mut self.tracer, s, self.sim.now());
         }

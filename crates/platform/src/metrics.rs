@@ -6,7 +6,7 @@
 //! speculative work (Table IV), throughput, and speculation statistics.
 
 use serde::{Deserialize, Serialize};
-use specfaas_sim::stats::{HitRate, LatencyRecorder};
+use specfaas_sim::stats::HitRate;
 use specfaas_sim::{LogHistogram, SimDuration, SimTime};
 
 /// Terminal outcome of one application request.
@@ -119,23 +119,19 @@ impl Breakdown {
         self.retry_backoff += other.retry_backoff;
     }
 
-    /// Component-wise mean of many breakdowns (empty input → zeros).
-    pub fn mean_of(items: &[Breakdown]) -> Breakdown {
-        if items.is_empty() {
+    /// Component-wise mean of `n` breakdowns whose component-wise sum is
+    /// `self` (`n == 0` → zeros).
+    pub fn mean_over(&self, n: u64) -> Breakdown {
+        if n == 0 {
             return Breakdown::default();
         }
-        let mut sum = Breakdown::default();
-        for b in items {
-            sum.merge(b);
-        }
-        let n = items.len() as u64;
         Breakdown {
-            container_creation: sum.container_creation / n,
-            runtime_setup: sum.runtime_setup / n,
-            platform: sum.platform / n,
-            transfer: sum.transfer / n,
-            execution: sum.execution / n,
-            retry_backoff: sum.retry_backoff / n,
+            container_creation: self.container_creation / n,
+            runtime_setup: self.runtime_setup / n,
+            platform: self.platform / n,
+            transfer: self.transfer / n,
+            execution: self.execution / n,
+            retry_backoff: self.retry_backoff / n,
         }
     }
 }
@@ -166,21 +162,27 @@ impl InvocationRecord {
 }
 
 /// Aggregated metrics of one simulation run.
+///
+/// Every field but `records` is a running aggregate of constant size;
+/// `records` keeps one entry per request for per-request comparisons.
 #[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
-    /// Exact response-time recorder over completed requests. Stores every
-    /// sample; kept for tests and error-bound comparisons against the
-    /// streaming histogram below.
-    pub latency: LatencyRecorder,
+    /// Running sum of completed-request response times in milliseconds,
+    /// added in completion order (the numerator of
+    /// [`RunMetrics::mean_response_ms`]).
+    pub latency_sum_ms: f64,
     /// Constant-memory response-time histogram (microseconds). The
     /// reporting path ([`RunMetrics::p99_response_ms`] and friends) reads
     /// percentiles from here, bounded within
-    /// [`LogHistogram::RELATIVE_ERROR`] of the exact recorder.
+    /// [`LogHistogram::RELATIVE_ERROR`] of the exact sort-based answer.
     pub latency_hist: LogHistogram,
     /// Per-request records.
     pub records: Vec<InvocationRecord>,
-    /// Per-function-invocation breakdowns (Fig. 3).
-    pub breakdowns: Vec<Breakdown>,
+    /// Component-wise sum of the Fig. 3 breakdowns of every finished
+    /// function invocation.
+    pub breakdown_total: Breakdown,
+    /// Function invocations filed into `breakdown_total`.
+    pub breakdowns_filed: u64,
     /// Requests completed.
     pub completed: u64,
     /// Requests that terminated with [`RequestOutcome::Failed`].
@@ -216,7 +218,7 @@ impl RunMetrics {
     /// Records a completed request.
     pub fn record_completion(&mut self, rec: InvocationRecord) {
         debug_assert_eq!(rec.outcome, RequestOutcome::Completed);
-        self.latency.record(rec.response_time());
+        self.latency_sum_ms += rec.response_time().as_millis_f64();
         self.latency_hist.record_duration(rec.response_time());
         self.completed += 1;
         self.records.push(rec);
@@ -225,7 +227,7 @@ impl RunMetrics {
     /// Records a request that terminated with [`RequestOutcome::Failed`]
     /// (retry budget exhausted, or unrecoverable hang). Failed requests
     /// are kept in `records` for inspection but excluded from the latency
-    /// recorder — response time of an abort is not a service time.
+    /// aggregates — response time of an abort is not a service time.
     pub fn record_failure(&mut self, rec: InvocationRecord) {
         debug_assert_eq!(rec.outcome, RequestOutcome::Failed);
         self.failed += 1;
@@ -233,16 +235,19 @@ impl RunMetrics {
         self.records.push(rec);
     }
 
-    /// Completed requests per second of goodput (failed requests do not
-    /// count) — identical to [`RunMetrics::throughput_rps`] today, but
-    /// named for fault-injection reports.
-    pub fn goodput_rps(&self) -> f64 {
-        self.throughput_rps()
+    /// Files one finished function invocation's Fig. 3 breakdown.
+    pub fn file_breakdown(&mut self, b: &Breakdown) {
+        self.breakdown_total.merge(b);
+        self.breakdowns_filed += 1;
     }
 
-    /// Mean response time in milliseconds.
+    /// Mean completed-request response time in milliseconds (0 if none
+    /// completed).
     pub fn mean_response_ms(&self) -> f64 {
-        self.latency.mean_ms()
+        if self.completed == 0 {
+            return 0.0;
+        }
+        self.latency_sum_ms / self.completed as f64
     }
 
     /// P99 response time in milliseconds, answered by the streaming
@@ -263,7 +268,8 @@ impl RunMetrics {
         self.latency_hist.quantile_ms(0.999)
     }
 
-    /// Completed requests per second over the window.
+    /// Completed requests per second over the window (goodput: failed
+    /// requests do not count).
     pub fn throughput_rps(&self) -> f64 {
         let secs = self.window.as_secs_f64();
         if secs == 0.0 {
@@ -353,9 +359,13 @@ mod tests {
             execution: SimDuration::from_millis(20),
             ..Breakdown::default()
         };
-        let m = Breakdown::mean_of(&[a, b]);
-        assert_eq!(m.execution, SimDuration::from_millis(15));
-        assert_eq!(Breakdown::mean_of(&[]), Breakdown::default());
+        let mut m = RunMetrics::new();
+        assert_eq!(m.breakdown_total.mean_over(0), Breakdown::default());
+        m.file_breakdown(&a);
+        m.file_breakdown(&b);
+        assert_eq!(m.breakdowns_filed, 2);
+        let mean = m.breakdown_total.mean_over(m.breakdowns_filed);
+        assert_eq!(mean.execution, SimDuration::from_millis(15));
     }
 
     #[test]
@@ -385,7 +395,6 @@ mod tests {
         assert_eq!(m.p99_response_ms(), 0.0);
         assert_eq!(m.mean_response_ms(), 0.0);
         assert_eq!(m.throughput_rps(), 0.0);
-        assert_eq!(m.goodput_rps(), 0.0);
         assert_eq!(m.squashed_work_fraction(), 0.0);
         assert!(m.most_popular_sequence().is_none());
         assert!(m.faults.is_zero());
@@ -399,7 +408,7 @@ mod tests {
         let mut m = RunMetrics::new();
         m.record_completion(rec(0, 7, vec![0]));
         assert_eq!(m.p99_response_ms(), 7.0);
-        assert_eq!(m.latency.p50_ms(), 7.0);
+        assert_eq!(m.p50_response_ms(), 7.0);
         assert_eq!(m.mean_response_ms(), 7.0);
         assert_eq!(m.completed, 1);
     }
@@ -409,15 +418,18 @@ mod tests {
         use specfaas_sim::SimRng;
         let mut m = RunMetrics::new();
         let mut rng = SimRng::seed(0x0b5e);
+        // Exact reference: every sample, sorted, read at ceil rank.
+        let mut exact_ms = Vec::new();
         for i in 0..5_000u64 {
             // Long-tailed synthetic response times, 1ms..~10s.
             let dur_ms = 1 + rng.uniform_u64(10) * rng.uniform_u64(1_000);
             m.record_completion(rec(i, dur_ms, vec![0]));
+            exact_ms.push(dur_ms as f64);
         }
-        for (q, exact) in [
-            (0.50, m.latency.percentile_ms(50.0)),
-            (0.99, m.latency.percentile_ms(99.0)),
-        ] {
+        exact_ms.sort_by(f64::total_cmp);
+        let ceil_rank = |q: f64| exact_ms[((q * exact_ms.len() as f64).ceil() as usize).max(1) - 1];
+        for q in [0.50, 0.99] {
+            let exact = ceil_rank(q);
             let streamed = m.latency_hist.quantile_ms(q);
             let err = (streamed - exact).abs() / exact.max(1e-9);
             assert!(

@@ -1,8 +1,7 @@
 //! Mergeable log-linear histogram for constant-memory tail latencies.
 //!
-//! [`LogHistogram`] is the streaming replacement for the exact
-//! sort-every-sample [`crate::stats::LatencyRecorder`]: HDR-style
-//! bounded-relative-error buckets, O(1) record, an associative and
+//! [`LogHistogram`] answers latency percentiles without storing the
+//! samples: HDR-style bounded-relative-error buckets, O(1) record, an associative and
 //! commutative merge (so `--jobs` shards combine byte-identically no
 //! matter the shard count or merge order), and rank-based quantile
 //! queries (p50/p90/p99/p99.9/max). Memory is bounded by the bucket

@@ -30,7 +30,7 @@ fn main() {
     let mut rng = SimRng::seed(7);
     (bundle.seed)(&mut base.rt_mut().kv, &mut rng);
     let gen = bundle.make_input.clone();
-    let mut mb = base.run_open(100.0, duration, warmup, move |r| gen(r));
+    let mb = base.run_open(100.0, duration, warmup, move |r| gen(r));
 
     // SpecFaaS, trained on 300 prior invocations, same load.
     let mut spec = SpecEngine::new(SpecCore::new(
@@ -44,7 +44,7 @@ fn main() {
     let gen = bundle.make_input.clone();
     spec.run_closed(300, move |r| gen(r));
     let gen = bundle.make_input.clone();
-    let mut ms = spec.run_open(100.0, duration, warmup, move |r| gen(r));
+    let ms = spec.run_open(100.0, duration, warmup, move |r| gen(r));
 
     println!("\n                 baseline    SpecFaaS");
     println!(
@@ -54,13 +54,13 @@ fn main() {
     );
     println!(
         "P50 response:    {:>7.1}ms  {:>7.1}ms",
-        mb.latency.p50_ms(),
-        ms.latency.p50_ms()
+        mb.p50_response_ms(),
+        ms.p50_response_ms()
     );
     println!(
         "P99 response:    {:>7.1}ms  {:>7.1}ms",
-        mb.latency.p99_ms(),
-        ms.latency.p99_ms()
+        mb.p99_response_ms(),
+        ms.p99_response_ms()
     );
     println!("requests served: {:>9}  {:>9}", mb.completed, ms.completed);
     println!("\nspeculation statistics:");
